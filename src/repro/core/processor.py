@@ -235,6 +235,10 @@ class UpdateProcessor:
         """Current extension of a derived predicate (cached old state)."""
         return self._upward_interpreter().old_extension(predicate)
 
+    def live_extension(self, predicate: str):
+        """The cached extent itself -- live and read-only, never a copy."""
+        return self._upward_interpreter().live_extension(predicate)
+
     # -- upward problems (5.1) -------------------------------------------------------------
 
     def is_consistent(self) -> bool:

@@ -33,6 +33,31 @@ GLOBAL_IC = IC_PREFIX
 Row = tuple[Constant, ...]
 
 
+def answer_rows(target: Atom, rows: Iterable[Row]) -> list[tuple]:
+    """Shape candidate *rows* of ``target.predicate`` into query answers.
+
+    *rows* already agree with the goal's constants (the ``lookup``
+    contract); this enforces repeated variables and projects each row
+    onto the goal's variables in first-occurrence order, as plain Python
+    values -- the reply shape of :meth:`DeductiveDatabase.query`
+    (``[()]`` / ``[]`` for a ground goal).
+    """
+    first_at: dict[Term, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for position, term in enumerate(target.args):
+        if isinstance(term, Variable):
+            if term in first_at:
+                repeats.append((position, first_at[term]))
+            else:
+                first_at[term] = position
+    columns = tuple(first_at.values())
+    if repeats:
+        rows = (row for row in rows
+                if all(row[i] == row[j] for i, j in repeats))
+    return sorted({tuple(row[i].value for i in columns) for row in rows},
+                  key=str)
+
+
 class Relation:
     """A stored base relation: a set of constant tuples plus column indexes.
 
@@ -435,20 +460,39 @@ class DeductiveDatabase:
 
     # -- convenience ----------------------------------------------------------
 
+    def check_goal(self, target: Atom) -> bool:
+        """Whether a query goal names a known predicate.
+
+        A goal whose argument count contradicts the predicate's arity
+        raises :class:`ArityError`; an unknown predicate is not an error
+        (it has no rows), just ``False``.
+        """
+        arity = self.schema.arities.get(target.predicate)
+        if arity is not None and arity != len(target.args):
+            raise ArityError(
+                f"goal {target} has {len(target.args)} argument(s), "
+                f"{target.predicate} has arity {arity}")
+        return arity is not None
+
     def query(self, goal: str) -> list[tuple]:
         """Answer a query in the current state, e.g. ``db.query("P(x)")``.
 
         Returns the list of answer rows as plain Python values (strings /
         ints) for the query's variables, in first-occurrence order; for a
         ground query the list is ``[()]`` when it holds and ``[]``
-        otherwise.  Evaluation is bottom-up over DR ∪ IC (a fresh evaluator
-        per call; for repeated querying hold a
-        :class:`~repro.datalog.evaluation.BottomUpEvaluator`).
+        otherwise.  Evaluation is bottom-up over DR ∪ IC with a fresh
+        evaluator per call -- every rule is re-materialised, which makes
+        this the library entry point and the test oracle, not a serving
+        path: a server answers from maintained state
+        (:meth:`repro.server.engine.DatabaseEngine.query`), and repeated
+        in-process querying should hold a
+        :class:`~repro.datalog.evaluation.BottomUpEvaluator`.
         """
         from repro.datalog.evaluation import BottomUpEvaluator
         from repro.datalog.parser import parse_atom
 
         target = parse_atom(goal)
+        self.check_goal(target)
         ordered: list[Variable] = []
         for term in target.args:
             if isinstance(term, Variable) and term not in ordered:

@@ -35,8 +35,9 @@ Recursive programs raise the typed :class:`CountingUnsupportedError`.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.datalog.builtins import evaluate_builtin, is_builtin
 from repro.datalog.compile_plan import order_body
@@ -91,6 +92,49 @@ class DeltaRule:
     prefix: tuple[Literal, ...]
     suffix: tuple[Literal, ...]
     order: tuple[int, ...] = field(default=(), compare=False)
+
+
+class ExtentView(Set):
+    """A read-only window on a maintained extent -- no copy, always current.
+
+    Maintainers hand these out instead of snapshotting the whole extent
+    into a ``frozenset`` per call.  The view is *live*: it changes when
+    the maintainer advances, so hold it only under the lock that guards
+    the maintained state and copy (``frozenset(view)``) what must outlive
+    that lock.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: AbstractSet[Row]):
+        self._rows = rows
+
+    def __contains__(self, row: object) -> bool:
+        return row in self._rows
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExtentView):
+            other = other._rows
+        return self._rows == other
+
+    __hash__ = None  # type: ignore[assignment]  # live, hence unhashable
+
+    def difference(self, other: Iterable[Row]) -> AbstractSet[Row]:
+        """Rows here but not in *other*, as a fresh set (at set speed)."""
+        return self._rows.difference(other)
+
+    @classmethod
+    def _from_iterable(cls, rows: Iterable[Row]) -> frozenset[Row]:
+        return frozenset(rows)
+
+    def __repr__(self) -> str:
+        return f"ExtentView({set(self._rows)!r})"
 
 
 class _AdjustedSet:
@@ -301,9 +345,13 @@ class CountingEngine:
         """Predicates whose rules negate derived predicates."""
         return self._negation_boundary
 
-    def extension(self, predicate: str) -> frozenset[Row]:
-        """Current (maintained) extension of a derived predicate."""
-        return frozenset(self._extensions.get(predicate, frozenset()))
+    def extension(self, predicate: str) -> ExtentView:
+        """Current (maintained) extension of a derived predicate.
+
+        A read-only live view of the set the counts maintain, not a copy:
+        membership is O(1) and nothing is allocated per row.
+        """
+        return ExtentView(self._extensions.get(predicate, frozenset()))
 
     def count(self, predicate: str, row: Row) -> int:
         """Current derivation count of one derived tuple."""

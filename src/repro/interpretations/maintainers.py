@@ -13,8 +13,11 @@ protocol --
   full-coverage :class:`~repro.interpretations.upward.UpwardResult` of a
   transaction, apply its base events to the database and advance the
   maintained state;
-- :meth:`StateMaintainer.extension` -- the current extension of a derived
-  predicate as maintained by this strategy;
+- :meth:`StateMaintainer.extension` / :meth:`StateMaintainer.lookup` -- the
+  current extension of a derived predicate as maintained by this strategy,
+  as a read-only live view (never a per-call copy): this is what the
+  serving engine's ``query`` reads, so a warm maintainer answers a ground
+  goal with one set-membership test and fires no rule;
 - :meth:`StateMaintainer.reset` -- drop all maintained state (it rebuilds on
   next use).
 
@@ -34,13 +37,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, ClassVar
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Sequence
 
-from repro.datalog.database import GLOBAL_IC, DeductiveDatabase
+from repro.datalog.database import GLOBAL_IC, DeductiveDatabase, Row
 from repro.datalog.errors import DatalogError
+from repro.datalog.terms import Constant, Term
 from repro.events.events import Transaction
-from repro.interpretations.counting import CountingEngine
-from repro.interpretations.upward import UpwardResult
+from repro.interpretations.counting import CountingEngine, ExtentView
+from repro.interpretations.upward import UpwardResult, _filter_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.processor import UpdateProcessor
@@ -138,24 +142,55 @@ class StateMaintainer(ABC):
 
     # -- the StateMaintainer protocol ------------------------------------------
 
+    @property
+    def active(self) -> bool:
+        """Whether the standing extents are materialised right now.
+
+        While true, :meth:`extension` and :meth:`lookup` evaluate nothing
+        and touch only state that writers mutate, so they are safe beside
+        other readers.  It goes false on :meth:`reset`; the next
+        :meth:`bootstrap` (or first use) re-materialises once.
+        """
+        return self._processor.has_warm_state
+
     def bootstrap(self, db: DeductiveDatabase | None = None) -> None:
         """Materialise the strategy's standing state.
 
         Maintainers are bound to their processor's database; *db* exists
         for protocol symmetry and, when given, must be that same object.
-        Lazy strategies may treat this as a no-op.
         """
         if db is not None and db is not self.db:
             raise ValueError("a StateMaintainer is bound to its processor's "
                              "database; bootstrap(db) must pass that object")
+        self._materialize()
+
+    def _materialize(self) -> None:
+        """Build the standing state from the current database."""
+        self._processor.live_extension(GLOBAL_IC)
 
     @abstractmethod
     def apply(self, transaction: Transaction) -> UpwardResult:
         """Compute induced events, apply the transaction, advance state."""
 
-    def extension(self, predicate: str) -> frozenset:
-        """Current extension of a derived predicate."""
-        return self._processor.extension(predicate)
+    def extension(self, predicate: str) -> ExtentView:
+        """Current extension of a derived predicate: a read-only live view
+        of the maintained set (materialising it first when cold)."""
+        return ExtentView(self._processor.live_extension(predicate))
+
+    def lookup(self, predicate: str,
+               pattern: Sequence[Term]) -> Iterable[Row]:
+        """Maintained rows of *predicate* compatible with *pattern*.
+
+        Same contract as :meth:`DeductiveDatabase.lookup` (constants must
+        match, variables match anything): one membership test for a
+        ground pattern, one pass over that predicate's extent otherwise.
+        """
+        extent = self.extension(predicate)
+        bound = sum(isinstance(term, Constant) for term in pattern)
+        if bound == len(pattern):
+            row = tuple(pattern)
+            return (row,) if row in extent else ()
+        return _filter_rows(extent, pattern) if bound else extent
 
     @abstractmethod
     def reset(self) -> None:
@@ -273,8 +308,7 @@ class CountingMaintainer(StateMaintainer):
             self._event("bootstrap")
         return self._engine
 
-    def bootstrap(self, db: DeductiveDatabase | None = None) -> None:
-        super().bootstrap(db)
+    def _materialize(self) -> None:
         self._engine = None
         self._staged = None
         self.counting_engine()
@@ -284,7 +318,7 @@ class CountingMaintainer(StateMaintainer):
         self._advance_interpreters(result)
         return result
 
-    def extension(self, predicate: str) -> frozenset:
+    def extension(self, predicate: str) -> ExtentView:
         return self.counting_engine().extension(predicate)
 
     def reset(self) -> None:

@@ -35,7 +35,7 @@ invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.evaluation import BottomUpEvaluator, EvaluationStats
@@ -396,6 +396,18 @@ class UpwardInterpreter:
         assert self._old_evaluator is not None
         return self._old_evaluator.extension(predicate)
 
+    def live_extension(self, predicate: str) -> AbstractSet[Row]:
+        """The cached old-state extent of a derived predicate, uncopied.
+
+        The set :meth:`advance` patches in place -- treat it as read-only.
+        This is what lets a warm state serve reads without a per-call
+        ``frozenset`` snapshot of the whole extent.
+        """
+        self._ensure_old_state()
+        assert self._old_evaluator is not None
+        return self._old_evaluator.live_extensions().get(predicate,
+                                                         frozenset())
+
     def old_state_view(self) -> OldStateView:
         """A fact-source over the whole old state (base + derived)."""
         self._ensure_old_state()
@@ -408,21 +420,23 @@ class UpwardInterpreter:
         if self._old_evaluator is not None:
             return
         with obs.span("upward.old_state") as span:
-            self._old_evaluator = BottomUpEvaluator(
+            evaluator = BottomUpEvaluator(
                 self._db, self._program.source_rules,
                 semi_naive=self._options.semi_naive,
                 engine=self._options.engine,
             )
-            materialization = self._old_evaluator.materialize()
+            extensions = evaluator.live_extensions()
             if obs.enabled():
                 span.add("derived_rows", sum(
-                    len(rows) for rows in materialization.derived.values()))
-        # The view must read the evaluator's *live* extensions, not the
-        # frozen materialization snapshot: advance() patches the evaluator
-        # in place and transition rules that mention derived predicates in
-        # their old-state literals must see the patched rows.
-        self._old_view = OldStateView(self._db,
-                                      self._old_evaluator.live_extensions())
+                    len(rows) for rows in extensions.values()))
+        # The view must read the evaluator's *live* extensions, not a
+        # frozen snapshot: advance() patches the evaluator in place and
+        # transition rules that mention derived predicates in their
+        # old-state literals must see the patched rows.
+        self._old_view = OldStateView(self._db, extensions)
+        # Published last: lock-free readers take ``has_cached_state`` to
+        # mean "fully materialised" (see live_extension).
+        self._old_evaluator = evaluator
         if self.on_materialize is not None:
             self.on_materialize()
 

@@ -9,11 +9,15 @@ transactions instead of one each.
 Concurrency model
 -----------------
 - *Single writer, multiple readers.*  A batch commit holds the write lock;
-  ``query`` requests share the read lock.  Requests that go through the
-  update processor's cached interpreters (``check``, ``upward``,
-  ``monitor``, ``downward``, ``repair``) additionally serialise on an
-  interpreter mutex, because the interpreters memoise old-state
-  materialisations and are not re-entrant.
+  ``query`` requests share the read lock and are answered from the state
+  the maintainer already keeps (base facts through the store's indexes,
+  derived predicates from the standing extensions), so a warm read fires
+  no rule.  Requests that go through the update processor's cached
+  interpreters (``check``, ``upward``, ``monitor``, ``downward``,
+  ``repair``) additionally serialise on an interpreter mutex, because the
+  interpreters memoise old-state materialisations and are not re-entrant;
+  the one ``query`` that finds the maintainer cold takes the same mutex
+  to re-materialise it once.
 - *Group commit.*  ``commit`` enqueues the transaction and the first thread
   through the batch lock becomes the leader: it drains the queue, packs up
   to ``max_batch`` transactions with pairwise-disjoint fact sets into one
@@ -65,9 +69,14 @@ from typing import Callable, Iterable
 from repro import faults
 from repro.core.durable import DurableDatabase, transaction_digest
 from repro.core.processor import UpdateProcessor
+from repro.datalog.builtins import evaluate_builtin, is_builtin
 from repro.datalog.compile_plan import resolve_engine
-from repro.datalog.errors import DatalogError, TransactionError
+from repro.datalog.database import answer_rows
+from repro.datalog.errors import DatalogError, SafetyError, TransactionError
+from repro.datalog.parser import parse_atom
+from repro.datalog.rules import Atom
 from repro.events.events import Transaction
+from repro.interpretations.counting import ExtentView
 from repro.interpretations.downward import DownwardOptions
 from repro.interpretations.upward import UpwardOptions
 from repro.interpretations.maintainers import (
@@ -503,10 +512,61 @@ class DatabaseEngine:
     # -- read requests ---------------------------------------------------------
 
     def query(self, goal: str) -> list[tuple]:
-        """Answer a query; truly concurrent (fresh evaluator per call)."""
+        """Answer a query from maintained state -- no rule fires per call.
+
+        Same replies as :meth:`DeductiveDatabase.query` (its oracle), but
+        a base goal is one indexed ``db.lookup`` and a derived or
+        constraint goal reads the maintainer's standing extension: one
+        membership test when ground, one pass over that predicate's
+        extent otherwise.  Warm reads share the read lock and nothing
+        else, so they run beside each other; after a maintainer reset
+        (slow-path batch, checkpoint, unchecked commit, recovery, every
+        commit in ``invalidate`` mode) the first reader re-materialises
+        the state once under the interpreter mutex and every read until
+        the next reset is served from that.
+        """
         self._ensure_open()
-        with self.metrics.time("query"), self._rwlock.read():
-            return self.db.query(goal)
+        with self.metrics.time("query"), obs.span("engine.query") as span:
+            target = parse_atom(goal)
+            with self._rwlock.read():
+                path, rows = self._goal_rows(target)
+                answers = answer_rows(target, rows)
+            if obs.enabled():
+                span.set(path=path)
+                span.add("answers", len(answers))
+            return answers
+
+    def _goal_rows(self, target: Atom) -> tuple[str, Iterable[tuple]]:
+        """Candidate rows for a query goal and the path that found them.
+
+        Call under the read lock, and consume the rows before releasing
+        it: they are live views of state that only writers mutate.
+        """
+        predicate = target.predicate
+        if is_builtin(predicate):
+            if not target.is_ground():
+                raise SafetyError(
+                    "cannot evaluate non-ground negative or built-in "
+                    f"literals: {target}")
+            holds = evaluate_builtin(predicate, target.args)
+            return "base", ((target.args,) if holds else ())
+        db = self.db
+        if not db.check_goal(target):
+            return "base", ()  # unknown predicate: no rows, as in db.query
+        if db.schema.is_base(predicate):
+            return "base", db.lookup(predicate, target.args)
+        maintainer = self._maintainer
+        path = "maintained"
+        if not maintainer.active:
+            # Cold: warm it exactly once.  The mutex keeps concurrent
+            # readers (and the interpreter ops) from materialising in
+            # parallel; whoever lost the race finds it warm.
+            with self._interp_lock:
+                if not maintainer.active:
+                    maintainer.bootstrap()
+                    self.metrics.increment("query.warmups")
+                    path = "warmup"
+        return path, maintainer.lookup(predicate, target.args)
 
     def _interpret(self, op: str, fn: Callable):
         self._ensure_open()
@@ -664,20 +724,20 @@ class DatabaseEngine:
                         f"{schema.arity(goal.predicate)})")
         return parsed
 
-    def _feed_extents(self, predicates) -> dict[str, frozenset] | None:
-        """Full extensions of the watched predicates, or None on failure.
+    def _feed_extents(self, predicates) -> dict[str, ExtentView] | None:
+        """Live extents of the watched predicates, or None on failure.
 
         This is the diff-fallback sourcing path (``invalidate`` mode, and
         any commit whose maintainer produced no delta): it re-materialises
         through the maintainer's read path, so its cost scales with the
         database, not the transaction -- exactly why the counting-sourced
-        feed exists (see benchmarks/test_bench_subscriptions.py).
+        feed exists (see benchmarks/test_bench_subscriptions.py).  The
+        views are not copies; snapshot what must survive the next apply.
         """
-        out: dict[str, frozenset] = {}
+        out: dict[str, ExtentView] = {}
         for predicate in predicates:
             try:
-                out[predicate] = frozenset(
-                    self._maintainer.extension(predicate))
+                out[predicate] = self._maintainer.extension(predicate)
             except DatalogError:
                 return None
         return out
@@ -720,8 +780,8 @@ class DatabaseEngine:
                 return
             self.feed.publish_delta(
                 txn_id=txn_id, epoch=epoch,
-                inserted={p: after[p] - before[p] for p in before},
-                deleted={p: before[p] - after[p] for p in before})
+                inserted={p: after[p].difference(before[p]) for p in before},
+                deleted={p: before[p].difference(after[p]) for p in before})
         except Exception:
             logger.exception("change-feed publish failed")
 
@@ -733,7 +793,11 @@ class DatabaseEngine:
         predicates = self.feed.watched_predicates()
         if not predicates:
             return None
-        return self._feed_extents(predicates)
+        extents = self._feed_extents(predicates)
+        if extents is None:
+            return None
+        # The one copy: this snapshot must outlive the apply below.
+        return {p: frozenset(rows) for p, rows in extents.items()}
 
     def _feed_resync(self, reason: str) -> None:
         """Tell subscribers delta coverage was lost (never raises)."""

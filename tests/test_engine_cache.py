@@ -9,7 +9,9 @@ observe a partially advanced cache.
 """
 
 import logging
+import sys
 import threading
+import time
 
 import pytest
 
@@ -18,6 +20,8 @@ from repro.events.events import Transaction, insert, parse_transaction
 from repro.interpretations import UpwardInterpreter
 from repro.server.engine import DatabaseEngine
 from repro.workloads import employment_database
+
+from tests import faultkit
 
 
 @pytest.fixture
@@ -116,6 +120,94 @@ class TestCacheModes:
         counters = engine.stats()["counters"]
         assert counters.get("cache.invalidate", 0) >= 1
         assert "cache.advance" not in counters
+
+
+@pytest.fixture
+def evaluators_built(monkeypatch):
+    """Every ``BottomUpEvaluator`` constructed while the test runs."""
+    from repro.datalog.evaluation import BottomUpEvaluator
+
+    built: list[BottomUpEvaluator] = []
+    construct = BottomUpEvaluator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(BottomUpEvaluator, "__init__", counted)
+    return built
+
+
+class TestReadsServedFromMaintainedState:
+    """``query`` reads the maintainer's standing extents: a warm read
+    evaluates nothing, a cold state is materialised once per epoch."""
+
+    GOALS = ["Unemp(x)", "Unemp(P3)", "Unemp(Nobody)", "Works(P3)",
+             "La(x)", "Ic1(x)"] * 5
+
+    @staticmethod
+    def _commit(engine, i: int) -> None:
+        assert engine.commit(parse_transaction(
+            f"insert La(N{i}); insert U_benefit(N{i})")).applied
+
+    @pytest.mark.parametrize("mode", ["advance", "counting"])
+    def test_warm_queries_construct_no_evaluator(self, tmp_path, mode,
+                                                 evaluators_built):
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=employment_database(30, seed=3),
+            cache_mode=mode)
+        try:
+            engine.query("Unemp(x)")  # advance materialises here, once
+            for i in range(3):  # fast-path commits keep the state warm
+                self._commit(engine, i)
+                evaluators_built.clear()
+                answers = [engine.query(goal) for goal in self.GOALS]
+                assert not evaluators_built, (
+                    f"{len(evaluators_built)} evaluator(s) built by "
+                    f"{len(self.GOALS)} warm reads")
+                assert answers == [engine.db.query(g) for g in self.GOALS]
+            assert engine.metrics.counter("query.warmups") == \
+                (1 if mode == "advance" else 0)
+        finally:
+            engine.close(checkpoint=False)
+
+    def test_invalidate_materialises_once_per_commit(self, tmp_path,
+                                                     evaluators_built):
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=employment_database(30, seed=3),
+            cache_mode="invalidate")
+        try:
+            for i in range(3):
+                self._commit(engine, i)  # drops the maintained state
+                evaluators_built.clear()
+                answers = [engine.query(goal) for goal in self.GOALS]
+                assert len(evaluators_built) == 1  # not one per read
+                assert answers == [engine.db.query(g) for g in self.GOALS]
+            assert engine.metrics.counter("query.warmups") == 3
+        finally:
+            engine.close(checkpoint=False)
+
+    @pytest.mark.parametrize("mode", ["advance", "invalidate", "counting"])
+    def test_resets_are_rewarmed_once(self, tmp_path, mode):
+        """Slow-path batch and checkpoint reset the maintainer; the next
+        read warms it and the reads after that are warm again."""
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=employment_database(30, seed=3),
+            cache_mode=mode)
+        try:
+            engine.query("Unemp(x)")
+            base = engine.metrics.counter("query.warmups")
+            engine.commit(parse_transaction("insert La(Zoe)"),
+                          on_violation="maintain")  # serial path
+            for goal in self.GOALS:
+                assert engine.query(goal) == engine.db.query(goal)
+            assert engine.metrics.counter("query.warmups") == base + 1
+            engine.checkpoint()
+            for goal in self.GOALS:
+                assert engine.query(goal) == engine.db.query(goal)
+            assert engine.metrics.counter("query.warmups") == base + 2
+        finally:
+            engine.close(checkpoint=False)
 
 
 class TestAdvanceMatchesRematerialize:
@@ -241,4 +333,106 @@ class TestConcurrentReaders:
             assert warm.old_extension("Unemp") == \
                 fresh_extension(engine.db, "Unemp")
         finally:
+            engine.close(checkpoint=False)
+
+    def test_queries_racing_resets_see_only_committed_states(
+            self, tmp_path, monkeypatch):
+        """Reads served from maintained state, beside a writer that keeps
+        resetting it.
+
+        Readers hammer ``Unemp(q)`` for the hires in flight: ``insert
+        La(q), insert Works(q)`` is atomic, so ``Unemp(q)`` holds in no
+        committed state and a reader that saw it caught a half-applied
+        hire (or a half-built extent).  No writer ever changes who is
+        unemployed, so the unbound answer is the same in every committed
+        state too.  The writer forces maintainer resets -- a batch with a
+        rejected member takes the serial path, and ``checkpoint()`` --
+        and each reset must be re-warmed exactly once, whoever gets there
+        first, not once per reader.
+        """
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=employment_database(20, seed=11),
+            cache_mode="counting")
+        # Stretch the warm-up (sleeping drops the GIL) so that readers
+        # which are not serialised around it would all pile in.
+        bootstrap = engine.maintainer.bootstrap
+        monkeypatch.setattr(engine.maintainer, "bootstrap",
+                            lambda: (time.sleep(0.005), bootstrap()))
+        unemployed = engine.db.query("Unemp(x)")
+        hires = [f"H{i}" for i in range(30)]
+        failures: list[str] = []
+        stop = threading.Event()
+        resets = 0
+        turns = [0, 0, 0]  # per reader: completed loop iterations
+
+        def reader(offset: int) -> None:
+            while not stop.is_set():
+                hire = hires[(turns[offset] + offset) % len(hires)]
+                turns[offset] += 1
+                try:
+                    half_applied = engine.query(f"Unemp({hire})")
+                    everyone = engine.query("Unemp(x)")
+                except Exception as error:  # noqa: BLE001 - fail the test
+                    failures.append(f"query raised: {error!r}")
+                    return
+                if half_applied:
+                    failures.append(f"saw La({hire}) without Works({hire})")
+                    return
+                if everyone != unemployed:
+                    failures.append(f"Unemp(x) matched no committed state: "
+                                    f"{everyone}")
+                    return
+
+        def let_every_reader_in() -> None:
+            """Hold the writer back until each reader has come round, so
+            all of them meet the state the reset left cold."""
+            seen = list(turns)
+            deadline = time.monotonic() + 5
+            while (not failures and time.monotonic() < deadline
+                   and any(now <= then + 1
+                           for now, then in zip(turns, seen))):
+                time.sleep(0.0005)
+
+        def writer() -> None:
+            nonlocal resets
+            for i, hire in enumerate(hires):
+                transaction = parse_transaction(
+                    f"insert La({hire}), insert Works({hire})")
+                if i % 3 == 0:
+                    # A rejected batch mate sends the batch down the
+                    # serial path, which resets the maintainer.
+                    outcomes = engine.commit_many(
+                        [transaction, parse_transaction(f"insert La(V{i})")])
+                    assert [o.applied for o in outcomes] == [True, False]
+                    resets += 1
+                    let_every_reader_in()
+                else:
+                    assert engine.commit(transaction).applied
+                    if i % 3 == 1:
+                        engine.checkpoint()
+                        resets += 1
+                        let_every_reader_in()
+
+        readers = [threading.Thread(target=reader, args=(o,))
+                   for o in range(3)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave inside the reads
+        try:
+            for thread in readers:
+                thread.start()
+            writer()
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "reader never finished"
+            assert not failures, failures
+            faultkit.check_reads_match_oracle(engine)  # warms the last reset
+            counters = engine.stats()["counters"]
+            # One bootstrap at open, then one per reset -- by the first
+            # reader to find it cold or by the next commit, never both.
+            assert counters["ivm.bootstrap"] == 1 + resets
+            assert counters.get("query.warmups", 0) <= resets
+        finally:
+            sys.setswitchinterval(switch_interval)
+            stop.set()
             engine.close(checkpoint=False)

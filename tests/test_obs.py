@@ -49,6 +49,43 @@ class TestDisabledFastPath:
         assert not obs.enabled()
 
 
+class TestEngineQuerySpan:
+    """``engine.query`` says which path served the read -- and costs
+    nothing when nobody is tracing."""
+
+    def test_span_names_the_read_path(self, tmp_path, employment_db):
+        # The default (advance) maintainer opens cold: the first derived
+        # read warms it, the ones after that are served from it.
+        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
+        try:
+            paths = []
+            with obs.use() as tracer:
+                for goal in ("Works(x)", "Unemp(x)", "Unemp(Dolors)"):
+                    engine.query(goal)
+                    assert tracer.last_root.name == "engine.query"
+                    paths.append(tracer.last_root.attributes["path"])
+            assert paths == ["base", "warmup", "maintained"]
+            assert tracer.count("engine.query") == 3
+            assert engine.stats()["counters"]["query.warmups"] == 1
+        finally:
+            engine.close(checkpoint=False)
+
+    def test_disabled_tracer_allocates_nothing(self, tmp_path, employment_db,
+                                               monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tracing is off: no span work expected")
+
+        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
+        try:
+            monkeypatch.setattr(obs.Span, "__init__", forbidden)
+            monkeypatch.setattr(type(obs.NULL_SPAN), "set", forbidden)
+            monkeypatch.setattr(type(obs.NULL_SPAN), "add", forbidden)
+            assert engine.query("Unemp(x)") == [("Dolors",)]
+            assert engine.query("La(Dolors)") == [()]
+        finally:
+            engine.close(checkpoint=False)
+
+
 class TestSpans:
     def test_nesting_attaches_children(self):
         with obs.use() as tracer:

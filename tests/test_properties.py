@@ -30,6 +30,8 @@ from repro.interpretations import (
     want_insert,
 )
 
+from tests import faultkit
+
 CONSTANTS = ["C0", "C1", "C2", "C3"]
 
 #: Rule pool: every shape is allowed and stratifiable, over base B1/B2 and
@@ -442,6 +444,12 @@ class TestEngineModeDifferential:
                         == set(counting.db.iter_facts()) \
                         == set(interpreted.db.iter_facts()) \
                         == set(oracle.iter_facts())
+                    # Reads are served from maintained state: in every
+                    # cache mode, every goal shape over every predicate
+                    # must equal the from-scratch db.query.
+                    for engine in (advance, invalidate, counting,
+                                   interpreted):
+                        faultkit.check_reads_match_oracle(engine)
                     for goal, predicate in zip(goals,
                                                sorted(db.schema.derived)):
                         answers = oracle.query(goal)

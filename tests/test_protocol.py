@@ -187,6 +187,16 @@ class TestDispatch:
         response = call(engine, "commit", transaction="insert Unemp(Zoe)")
         assert not response.ok and response.error["type"] == "transaction"
 
+    @pytest.mark.parametrize("goal", ["Works(x, y)", "Unemp(x, y)", "Unemp"])
+    def test_arity_mismatched_goal_mapped(self, engine, goal):
+        """Was a raw ``KeyError(Variable('y'))`` -> ``internal`` on the wire
+        (and a zip-truncated guess for too few arguments)."""
+        response = call(engine, "query", goal=goal)
+        assert not response.ok and response.error["type"] == "arity"
+        assert goal.split("(")[0] in response.error["message"]
+        with pytest.raises(errors.ArityError):  # the library oracle too
+            engine.db.query(goal)
+
     def test_missing_param_mapped(self, engine):
         response = call(engine, "commit")
         assert not response.ok and response.error["type"] == "protocol"

@@ -86,6 +86,7 @@ JUNK_PARAMS = [
     {"goal": []},
     {"goal": ""},
     {"goal": "P(x"},
+    {"goal": "Works(x, y)"},
     {"predicates": "Works", "transaction": "insert Works(A)"},
     {"predicates": [1, 2], "transaction": "insert Works(A)"},
     {"conditions": [], "transaction": "insert Works(A)"},
@@ -180,6 +181,10 @@ MALFORMED_FRAMES = [
      "parse"),
     (b'{"v": 1, "op": "query", "params": {"goal": "Unemp(x"}}\n',
      "parse"),
+    (b'{"v": 1, "op": "query", "params": {"goal": "Works(x, y)"}}\n',
+     "arity"),
+    (b'{"v": 1, "op": "query", "params": {"goal": "Unemp(x, y)"}}\n',
+     "arity"),
     (b'{"v": 1, "op": "commit", "params": {"transaction": "insert Unemp(A)"}}\n',
      "transaction"),
     (b'{"v": 1, "op": "downward", "params": {"requests": [3]}}\n',

@@ -140,8 +140,10 @@ class TestCommits:
         assert len(group.decisions) == 0  # no 2PC for one participant
         group.close()
 
-    def test_cross_shard_commit_runs_2pc(self, tmp_path):
-        group = open_group(tmp_path)
+    @pytest.mark.parametrize("cache_mode",
+                             ["advance", "invalidate", "counting"])
+    def test_cross_shard_commit_runs_2pc(self, tmp_path, cache_mode):
+        group = open_group(tmp_path, cache_mode=cache_mode)
         a, b = cross_shard_names(group)
         outcome = group.commit(parse_transaction(
             f"insert La({a}), insert U_benefit({a}), "
@@ -154,10 +156,14 @@ class TestCommits:
         assert group.metrics.counter("router.cross_shard_commits") == 1
         assert len(group.decisions) == 1
         assert group.query(f"Unemp({a})") == [()]
+        # Each participant's decide left its maintained reads exact.
+        faultkit.check_reads_match_oracle(group)
         group.close()
 
-    def test_cross_shard_veto_aborts_everywhere(self, tmp_path):
-        group = open_group(tmp_path)
+    @pytest.mark.parametrize("cache_mode",
+                             ["advance", "invalidate", "counting"])
+    def test_cross_shard_veto_aborts_everywhere(self, tmp_path, cache_mode):
+        group = open_group(tmp_path, cache_mode=cache_mode)
         a, b = cross_shard_names(group)
         before = {tuple(r) for r in group.query("La(x)")}
         outcome = group.commit(parse_transaction(
@@ -165,6 +171,7 @@ class TestCommits:
         assert not outcome.applied
         assert outcome.check is not None and not outcome.check.ok
         assert {tuple(r) for r in group.query("La(x)")} == before
+        faultkit.check_reads_match_oracle(group)
         group.close()
 
     def test_cross_shard_commit_is_idempotent_by_txn_id(self, tmp_path):
