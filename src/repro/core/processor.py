@@ -21,6 +21,7 @@ from repro.interpretations.downward import (
     DownwardInterpreter,
     DownwardOptions,
     DownwardResult,
+    OldState,
 )
 from repro.interpretations.upward import (
     UpwardInterpreter,
@@ -95,6 +96,12 @@ class UpdateProcessor:
         self._program: TransitionProgram | None = None
         self._upward: UpwardInterpreter | None = None
         self._downward: DownwardInterpreter | None = None
+        #: Where the downward interpreter reads derived old-state extents:
+        #: ``None`` for a private materialisation (the library default); a
+        #: :class:`~repro.interpretations.maintainers.StateMaintainer`
+        #: bound to this processor puts itself here, so the serving path
+        #: holds one standing copy of the derived state.
+        self.downward_old_state: OldState | None = None
         #: Optional observer called with ``"advance"`` / ``"invalidate"`` /
         #: ``"rematerialize"`` on every state-cache lifecycle event; the
         #: serving engine hooks this into its metrics registry.
@@ -131,7 +138,10 @@ class UpdateProcessor:
         know the induced events of the mutation should prefer
         :meth:`advance_state_caches`, which keeps the memoised state warm.
         """
-        warm = self._upward is not None or self._downward is not None
+        # A downward interpreter reading someone else's old state holds no
+        # materialisation of its own: dropping it loses nothing.
+        warm = self._upward is not None or (
+            self._downward is not None and self.downward_old_state is None)
         self._upward = None
         self._downward = None
         if warm:
@@ -185,7 +195,8 @@ class UpdateProcessor:
     def _downward_interpreter(self) -> DownwardInterpreter:
         if self._downward is None:
             self._downward = DownwardInterpreter(
-                self._db, program=self.program, options=self._downward_options)
+                self._db, program=self.program, options=self._downward_options,
+                old_state=self.downward_old_state)
         return self._downward
 
     # -- semantics declarations ------------------------------------------------------

@@ -333,6 +333,13 @@ class BottomUpEvaluator:
             rows: Iterable[Row] = restrict_to
         elif literal.predicate in self._derived_predicates:
             rows = extensions.get(literal.predicate, ())
+            if all(isinstance(t, Constant) for t in pattern):
+                # A ground probe is one membership test, not a scan of
+                # the extent (still one matched literal in the stats).
+                self.stats.literals_matched += 1
+                if pattern in rows:
+                    yield subst if isinstance(subst, dict) else dict(subst)
+                return
         else:
             rows = self._facts.lookup(literal.predicate, pattern)
         for row in rows:

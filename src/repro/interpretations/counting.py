@@ -63,6 +63,20 @@ _REPLACE = "replace"
 StagedCounts = dict[str, tuple[str, Counter]]
 
 
+@dataclass
+class CountedResult(UpwardResult):
+    """An upward interpretation read off derivation counts.
+
+    Carries the count changes that produced it, so whoever later applies
+    the transaction hands the result itself back to be folded in -- no
+    slot shared between the check and the apply, hence any number of
+    hypothetical deltas may be computed side by side.
+    """
+
+    staged: StagedCounts = field(default_factory=dict, repr=False,
+                                 compare=False)
+
+
 class CountingUnsupportedError(StratificationError):
     """The program is outside counting's scope (recursive views).
 
@@ -357,15 +371,18 @@ class CountingEngine:
         """Current derivation count of one derived tuple."""
         return self._counts.get(predicate, Counter()).get(row, 0)
 
-    def delta(self, transaction: Transaction) -> tuple[UpwardResult,
+    def delta(self, transaction: Transaction) -> tuple[CountedResult,
                                                        StagedCounts]:
         """Induced events of *transaction*, without changing any state.
 
-        Returns the full-coverage :class:`UpwardResult` plus the staged
-        count changes to hand to :meth:`advance` once the transaction
-        has actually been applied to the database.  The computation only
-        walks delta rules whose delta literal has events, so cost is
-        proportional to the transaction and its consequences.
+        This *is* the upward interpretation of the event rules over the
+        maintained state: safe to run beside other readers, as often as
+        wanted.  Returns the full-coverage result plus the staged count
+        changes (also carried as ``result.staged``) to hand to
+        :meth:`advance` once the transaction has actually been applied
+        to the database.  The computation only walks delta rules whose
+        delta literal has events, so cost is proportional to the
+        transaction and its consequences.
         """
         transaction.check_base_only(self._db)
         transaction = transaction.normalized(self._db)
@@ -422,8 +439,8 @@ class CountingEngine:
             new_derived[predicate] = _AdjustedSet(
                 self._extensions[predicate], gained, lost)
 
-        result = UpwardResult(insertions, deletions, transaction,
-                              covered=frozenset(self._order))
+        result = CountedResult(insertions, deletions, transaction,
+                               covered=frozenset(self._order), staged=staged)
         return result, staged
 
     def advance(self, staged: StagedCounts) -> None:

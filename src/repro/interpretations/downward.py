@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.errors import DepthLimitExceeded, DomainError, TransactionError
@@ -44,6 +44,7 @@ from repro.datalog.rules import Atom, Literal
 from repro.datalog.terms import Constant, Term, Variable
 from repro.datalog.unification import (
     Substitution,
+    match_tuple,
     resolve,
     substitute_literal,
     unify_atoms,
@@ -278,21 +279,67 @@ def request_of(event: Event) -> Literal:
     return Literal(Atom(name, event.args), True)
 
 
+# -- the old state ----------------------------------------------------------------
+
+
+class OldState(Protocol):
+    """The derived predicates' extensions in the current ("old") state.
+
+    Base facts the interpreter reads from the database itself; of the
+    derived state it never needs more than a ground probe and a pattern
+    scan, so whoever already holds the extensions (a serving engine's
+    state maintainer) can answer instead of a private materialisation.
+    """
+
+    def holds(self, predicate: str, row: Row) -> bool:
+        """Whether the derived ``predicate(row)`` is true in the old state."""
+
+    def lookup(self, predicate: str, pattern: Sequence[Term]) -> Iterable[Row]:
+        """Old-state rows of a derived predicate compatible with *pattern*."""
+
+
+class EvaluatedOldState:
+    """The library default: a private bottom-up materialisation of the rules
+    (computed on the first derived probe, patched by ``advance``)."""
+
+    def __init__(self, evaluator: BottomUpEvaluator):
+        #: The evaluator answering the probes (its ``stats`` count them).
+        self.evaluator = evaluator
+
+    def holds(self, predicate: str, row: Row) -> bool:
+        return self.evaluator.holds(Literal(Atom(predicate, row), True))
+
+    def lookup(self, predicate: str, pattern: Sequence[Term]) -> Iterator[Row]:
+        literal = Literal(Atom(predicate, tuple(pattern)), True)
+        for bindings in self.evaluator.solve((literal,)):
+            yield tuple(resolve(t, bindings) for t in pattern)
+
+
 # -- the interpreter --------------------------------------------------------------
 
 
 class DownwardInterpreter:
-    """Computes the downward interpretation against one database state."""
+    """Computes the downward interpretation against one database state.
+
+    *old_state* answers old database literals over derived predicates; by
+    default the interpreter materialises the rules privately
+    (:class:`EvaluatedOldState`), a caller that already maintains the
+    derived extensions passes its own :class:`OldState` instead and keeps
+    it current itself.
+    """
 
     def __init__(self, db: DeductiveDatabase,
                  program: TransitionProgram | None = None,
                  options: DownwardOptions | None = None,
-                 simplify: bool = True):
+                 simplify: bool = True,
+                 old_state: OldState | None = None):
         self._db = db
         self._options = options or DownwardOptions()
         self._program = program or EventCompiler(simplify=simplify).compile(db)
-        self._old = BottomUpEvaluator(db, self._program.source_rules,
-                                      engine=self._options.engine)
+        if old_state is None:
+            old_state = EvaluatedOldState(BottomUpEvaluator(
+                db, self._program.source_rules, engine=self._options.engine))
+        self._old = old_state
         self._domain: frozenset[Constant] | None = None
         self._request_constants: frozenset[Constant] = frozenset()
         self.stats = DownwardStats()
@@ -301,6 +348,11 @@ class DownwardInterpreter:
     def program(self) -> TransitionProgram:
         """The compiled transition program in use."""
         return self._program
+
+    @property
+    def old_state(self) -> OldState:
+        """The source answering old database literals."""
+        return self._old
 
     def domain(self) -> frozenset[Constant]:
         """The finite domain used for instantiation.
@@ -321,23 +373,26 @@ class DownwardInterpreter:
         :meth:`~repro.interpretations.upward.UpwardInterpreter.advance`:
         *result* is the full-coverage :class:`UpwardResult` of a
         transaction that has already been applied to the database.  The
-        memoised derived extensions are patched in place (when they have
-        been materialised at all) and the cached active domain is dropped,
-        so the next interpretation runs against the new state without a
-        from-scratch re-materialisation.  Partial results raise
-        :class:`ValueError`.
+        privately materialised derived extensions are patched in place
+        (when they have been materialised at all; an *old_state* passed in
+        by the caller is the caller's to move) and the cached active
+        domain is dropped, so the next interpretation runs against the
+        new state without a from-scratch re-materialisation.  Partial
+        results raise :class:`ValueError`.
         """
         if result.covered is None or self._program.derived - result.covered:
             raise ValueError(
                 "cannot advance from a partial UpwardResult: advancing "
                 "needs deltas for every derived predicate; recompute with "
                 "an unfiltered interpret()")
-        if self._old.materialized:
+        if isinstance(self._old, EvaluatedOldState) \
+                and self._old.evaluator.materialized:
             for predicate in self._program.derived:
                 inserted = result.insertions_of(predicate)
                 deleted = result.deletions_of(predicate)
                 if inserted or deleted:
-                    self._old.apply_delta(predicate, inserted, deleted)
+                    self._old.evaluator.apply_delta(predicate, inserted,
+                                                    deleted)
         self._domain = None
 
     # -- public API ------------------------------------------------------------------
@@ -414,9 +469,16 @@ class DownwardInterpreter:
     def _goal_already_satisfied(self, literal: Literal) -> bool:
         """Footnote 1: a requested change that already holds is a no-op."""
         namespace, predicate = parse_prefixed(literal.predicate)
-        row = tuple(resolve(t, {}) for t in literal.args)
-        held = row in self._old.extension(predicate)
+        held = self._holds(predicate, tuple(literal.args))
         return held if namespace == "ins" else not held
+
+    def _holds(self, predicate: str, row: Row) -> bool:
+        """Old-state truth of a ground atom: one probe, whatever the
+        extent's size -- the store for a base fact, the old-state source
+        for a derived one."""
+        if self._program.is_derived(predicate):
+            return self._old.holds(predicate, row)
+        return self._db.has_fact(predicate, *row)
 
     # -- conjunct processing ------------------------------------------------------------
 
@@ -529,24 +591,34 @@ class DownwardInterpreter:
                 if evaluate_builtin(literal.predicate, row) == literal.positive:
                     yield bindings, TRUE_DNF
             return
+        pattern = tuple(resolve(t, subst) for t in literal.args)
+        ground = all(isinstance(t, Constant) for t in pattern)
         if literal.positive:
-            for bindings in self._old.solve([literal], subst):
-                yield bindings, TRUE_DNF
+            if ground:
+                if self._holds(literal.predicate, pattern):
+                    yield dict(subst), TRUE_DNF
+                return
+            source = self._old if self._program.is_derived(literal.predicate) \
+                else self._db
+            for row in source.lookup(literal.predicate, pattern):
+                bindings = self._bind_row(pattern, row, subst)
+                if bindings is not None:
+                    yield bindings, TRUE_DNF
             return
-        unbound = self._unbound_vars(literal, subst)
-        if not unbound:
-            if not self._old.holds(literal.negate(), subst):
+        if ground:
+            if not self._holds(literal.predicate, pattern):
                 yield dict(subst), TRUE_DNF
             return
         for bindings in self._instantiations(literal, subst):
-            if not self._old.holds(literal.negate(), bindings):
+            row = tuple(resolve(t, bindings) for t in literal.args)
+            if not self._holds(literal.predicate, row):
                 yield bindings, TRUE_DNF
 
     # base event literals ---------------------------------------------------------
 
     def _event_possible(self, kind: EventKind, predicate: str, row: Row) -> bool:
         """Occurrence precondition from definitions (1)/(2)."""
-        held = row in self._old.extension(predicate)
+        held = self._db.has_fact(predicate, *row)
         return not held if kind is EventKind.INSERTION else held
 
     def _down_base_event(self, kind: EventKind, predicate: str,
@@ -596,8 +668,6 @@ class DownwardInterpreter:
 
     def _bind_row(self, pattern: tuple[Term, ...], row: Row,
                   subst: Substitution) -> dict | None:
-        from repro.datalog.unification import match_tuple
-
         bindings = match_tuple(pattern, row, subst)
         return dict(bindings) if bindings is not None else None
 

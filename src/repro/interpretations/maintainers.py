@@ -13,11 +13,17 @@ protocol --
   full-coverage :class:`~repro.interpretations.upward.UpwardResult` of a
   transaction, apply its base events to the database and advance the
   maintained state;
-- :meth:`StateMaintainer.extension` / :meth:`StateMaintainer.lookup` -- the
-  current extension of a derived predicate as maintained by this strategy,
-  as a read-only live view (never a per-call copy): this is what the
-  serving engine's ``query`` reads, so a warm maintainer answers a ground
-  goal with one set-membership test and fires no rule;
+- :meth:`StateMaintainer.extension` / :meth:`StateMaintainer.lookup` /
+  :meth:`StateMaintainer.holds` -- the current extension of a derived
+  predicate as maintained by this strategy, as a read-only live view
+  (never a per-call copy): this is what the serving engine's ``query``
+  reads, so a warm maintainer answers a ground goal with one
+  set-membership test and fires no rule -- and what the processor's
+  downward interpreter reads as its old state, so a serving engine holds
+  one standing copy of the derived state, not one per interpreter;
+- :meth:`StateMaintainer.whatif` -- the upward interpretation of a
+  *hypothetical* transaction over that state (``check`` / ``upward`` /
+  ``monitor`` are three projections of it);
 - :meth:`StateMaintainer.reset` -- drop all maintained state (it rebuilds on
   next use).
 
@@ -43,7 +49,11 @@ from repro.datalog.database import GLOBAL_IC, DeductiveDatabase, Row
 from repro.datalog.errors import DatalogError
 from repro.datalog.terms import Constant, Term
 from repro.events.events import Transaction
-from repro.interpretations.counting import CountingEngine, ExtentView
+from repro.interpretations.counting import (
+    CountedResult,
+    CountingEngine,
+    ExtentView,
+)
 from repro.interpretations.upward import UpwardResult, _filter_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -107,6 +117,13 @@ class StateMaintainer(ABC):
     #: diff of the watched predicates, which scales with the database.
     sources_deltas: ClassVar[bool] = False
 
+    #: Whether :meth:`whatif` (and :meth:`check_full`) on an :attr:`active`
+    #: maintainer only *reads* state that writers mutate.  The serving
+    #: engine then runs what-ifs under its read lock alone, beside each
+    #: other and beside queries; strategies that answer through the
+    #: processor's memoising interpreters serialise on its mutex instead.
+    pure_whatifs: ClassVar[bool] = False
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if cls.name:
@@ -114,6 +131,9 @@ class StateMaintainer(ABC):
 
     def __init__(self, processor: "UpdateProcessor"):
         self._processor = processor
+        # The processor's downward interpreter reads the old state here
+        # instead of materialising a private copy of it.
+        processor.downward_old_state = self
         #: Observability hook: called with an event kind ("bootstrap",
         #: "rederive", ...) when the strategy does notable work.
         self.on_event: Callable[[str], None] | None = None
@@ -191,6 +211,19 @@ class StateMaintainer(ABC):
             row = tuple(pattern)
             return (row,) if row in extent else ()
         return _filter_rows(extent, pattern) if bound else extent
+
+    def holds(self, predicate: str, row: Row) -> bool:
+        """Whether the derived ``predicate(row)`` holds: one membership test."""
+        return row in self.extension(predicate)
+
+    def whatif(self, transaction: Transaction) -> UpwardResult:
+        """Full-coverage induced events of a hypothetical transaction.
+
+        The upward interpretation (§4.1) over the maintained state;
+        nothing is applied, staged or advanced.  Raises what the
+        interpretation raises (``TransactionError`` for derived events).
+        """
+        return self._processor.upward(transaction)
 
     @abstractmethod
     def reset(self) -> None:
@@ -282,17 +315,21 @@ class CountingMaintainer(StateMaintainer):
     The counting engine computes induced events from delta rules in time
     proportional to the transaction, keeps the integrity-constraint
     extension standing (so the consistency precondition is O(1)), and
-    stages count changes between :meth:`check_full`/:meth:`interpret`
-    and :meth:`advance` so facts and counts commit together.
+    hands each delta back as a :class:`CountedResult` that carries its
+    own count changes: :meth:`check_full` / :meth:`interpret` /
+    :meth:`whatif` touch no state, and :meth:`advance` folds in whichever
+    result the caller went on to apply, so facts and counts commit
+    together.  The processor's interpreters are not kept moving: a
+    commit drops whatever a library caller warmed there.
     """
 
     name = CacheMode.COUNTING.value
     sources_deltas = True
+    pure_whatifs = True
 
     def __init__(self, processor: "UpdateProcessor"):
         super().__init__(processor)
         self._engine: CountingEngine | None = None
-        self._staged: tuple[UpwardResult, dict] | None = None
 
     @property
     def active(self) -> bool:
@@ -310,12 +347,11 @@ class CountingMaintainer(StateMaintainer):
 
     def _materialize(self) -> None:
         self._engine = None
-        self._staged = None
         self.counting_engine()
 
     def apply(self, transaction: Transaction) -> UpwardResult:
         result = self.counting_engine().apply(transaction)
-        self._advance_interpreters(result)
+        self._processor.invalidate_state_caches()
         return result
 
     def extension(self, predicate: str) -> ExtentView:
@@ -323,66 +359,33 @@ class CountingMaintainer(StateMaintainer):
 
     def reset(self) -> None:
         self._engine = None
-        self._staged = None
         self._processor.invalidate_state_caches()
 
     # -- engine hooks ----------------------------------------------------------
 
-    def _checked_delta(self, transaction: Transaction) \
-            -> tuple[UpwardResult, dict]:
-        from repro.problems.base import StateError
-        engine = self.counting_engine()
-        if engine.extension(GLOBAL_IC):
-            raise StateError(
-                "cannot check a transaction against an inconsistent state: "
-                f"{GLOBAL_IC} holds before the update")
-        return engine.delta(transaction)
-
-    def _verdict(self, result: UpwardResult) -> "ICCheckResult":
-        from repro.problems.ic_checking import ICCheckResult
-        constraint_predicates = {rule.head.predicate
-                                 for rule in self.db.constraints}
-        violations = {
-            predicate: rows
-            for predicate, rows in result.insertions.items()
-            if predicate in constraint_predicates and rows
-        }
-        return ICCheckResult(ok=not result.insertions_of(GLOBAL_IC),
-                             violations=violations,
-                             transaction=result.transaction)
+    def whatif(self, transaction: Transaction) -> CountedResult:
+        return self.counting_engine().delta(transaction)[0]
 
     def check(self, transaction: Transaction) -> "ICCheckResult":
-        result, _ = self._checked_delta(transaction)
-        return self._verdict(result)
+        return self.check_full(transaction)[0]
 
     def check_full(self, transaction: Transaction) \
-            -> tuple["ICCheckResult", UpwardResult | None]:
-        result, staged = self._checked_delta(transaction)
-        self._staged = (result, staged)
-        return self._verdict(result), result
+            -> tuple["ICCheckResult", CountedResult]:
+        from repro.problems.ic_checking import require_consistent, verdict_of
+        require_consistent(self.extension(GLOBAL_IC))
+        result = self.whatif(transaction)
+        return verdict_of(self.db, result), result
 
-    def interpret(self, transaction: Transaction) -> UpwardResult | None:
-        result, staged = self.counting_engine().delta(transaction)
-        self._staged = (result, staged)
-        return result
+    def interpret(self, transaction: Transaction) -> CountedResult:
+        return self.whatif(transaction)
 
     def advance(self, result: UpwardResult | None) -> None:
-        staged = self._staged
-        self._staged = None
-        if (result is None or staged is None or staged[0] is not result
-                or self._engine is None):
-            # Stale or missing staging: conservative full reset.
+        if not isinstance(result, CountedResult) or self._engine is None:
+            # Not a delta of this engine's counts: conservative full reset.
             self.reset()
             return
-        self._engine.advance(staged[1])
-        self._advance_interpreters(result)
-
-    def _advance_interpreters(self, result: UpwardResult) -> None:
-        """Keep any warm read-side interpreter caches moving too."""
-        try:
-            self._processor.advance_state_caches(result)
-        except ValueError:
-            self._processor.invalidate_state_caches()
+        self._engine.advance(result.staged)
+        self._processor.invalidate_state_caches()
 
 
 __all__ = [

@@ -16,7 +16,7 @@ from repro.datalog.database import DeductiveDatabase
 from repro.datalog.errors import UnknownPredicateError
 from repro.datalog.terms import Constant
 from repro.events.events import Transaction
-from repro.interpretations.upward import UpwardInterpreter
+from repro.interpretations.upward import UpwardInterpreter, UpwardResult
 from repro.problems.base import (
     Direction,
     PredicateSemantics,
@@ -93,22 +93,34 @@ class ConditionChanges:
         return "{" + ", ".join(pieces) + "}"
 
 
-def monitor_conditions(db: DeductiveDatabase, transaction: Transaction,
-                       conditions: Iterable[str],
-                       interpreter: UpwardInterpreter | None = None
-                       ) -> ConditionChanges:
-    """Upward interpretation of ``ιCond(x)`` / ``δCond(x)`` per condition."""
-    conditions = list(conditions)
+def check_conditions(db: DeductiveDatabase, conditions: Iterable[str]) -> None:
+    """Raise :class:`UnknownPredicateError` unless every name is derived."""
     schema = db.schema
     for condition in conditions:
         if not schema.is_derived(condition):
             raise UnknownPredicateError(
                 f"monitored condition {condition} is not a derived predicate"
             )
-    interpreter = interpreter or UpwardInterpreter(db)
-    result = interpreter.interpret(transaction, predicates=conditions)
+
+
+def condition_changes(result: UpwardResult,
+                      conditions: Iterable[str]) -> ConditionChanges:
+    """Project an upward interpretation covering *conditions* onto them."""
+    conditions = list(conditions)
     activated = {c: result.insertions_of(c) for c in conditions
                  if result.insertions_of(c)}
     deactivated = {c: result.deletions_of(c) for c in conditions
                    if result.deletions_of(c)}
     return ConditionChanges(activated, deactivated, result.transaction)
+
+
+def monitor_conditions(db: DeductiveDatabase, transaction: Transaction,
+                       conditions: Iterable[str],
+                       interpreter: UpwardInterpreter | None = None
+                       ) -> ConditionChanges:
+    """Upward interpretation of ``ιCond(x)`` / ``δCond(x)`` per condition."""
+    conditions = list(conditions)
+    check_conditions(db, conditions)
+    interpreter = interpreter or UpwardInterpreter(db)
+    return condition_changes(
+        interpreter.interpret(transaction, predicates=conditions), conditions)

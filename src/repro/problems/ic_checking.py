@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.datalog.database import GLOBAL_IC, DeductiveDatabase
 from repro.datalog.terms import Constant
 from repro.events.events import Transaction
-from repro.interpretations.upward import UpwardInterpreter
+from repro.interpretations.upward import UpwardInterpreter, UpwardResult
 from repro.problems.base import (
     Direction,
     PredicateSemantics,
@@ -99,6 +99,41 @@ def _constraint_predicates(db: DeductiveDatabase) -> list[str]:
     return sorted({r.head.predicate for r in db.constraints})
 
 
+def require_consistent(ic_rows) -> None:
+    """The paper's precondition "provided that ``Ico`` does not hold".
+
+    *ic_rows* is the old-state extension of the global ``Ic``; raises
+    :class:`StateError` when it is non-empty.
+    """
+    if ic_rows:
+        raise StateError(
+            "integrity checking requires a consistent state; the database "
+            "already violates some constraint (Ic holds). Use "
+            "repro.problems.repair to fix it first."
+        )
+
+
+def verdict_of(db: DeductiveDatabase, result: UpwardResult) -> ICCheckResult:
+    """Read the integrity verdict off an upward interpretation.
+
+    *result* must cover ``Ic`` and the constraint predicates -- however it
+    was computed (the interpreter below, or a state maintainer's counted
+    delta): the transaction violates exactly when ``ιIc`` is induced, and
+    the induced ``ιIcN`` rows are the witnesses.
+    """
+    constraint_predicates = {r.head.predicate for r in db.constraints}
+    violated = {
+        predicate: rows
+        for predicate, rows in result.insertions.items()
+        if predicate in constraint_predicates and rows
+    }
+    return ICCheckResult(
+        ok=not result.insertions_of(GLOBAL_IC),
+        violations=violated,
+        transaction=result.transaction,
+    )
+
+
 def check_transaction(db: DeductiveDatabase, transaction: Transaction,
                       interpreter: UpwardInterpreter | None = None) -> ICCheckResult:
     """Upward interpretation of ``ιIc``: reject transactions that violate IC.
@@ -109,26 +144,10 @@ def check_transaction(db: DeductiveDatabase, transaction: Transaction,
     across many checks.
     """
     interpreter = interpreter or UpwardInterpreter(db)
-    if interpreter.old_extension(GLOBAL_IC):
-        raise StateError(
-            "integrity checking requires a consistent state; the database "
-            "already violates some constraint (Ic holds). Use "
-            "repro.problems.repair to fix it first."
-        )
-    constraint_predicates = _constraint_predicates(db)
-    watched = [GLOBAL_IC, *constraint_predicates]
-    result = interpreter.interpret(transaction, predicates=watched)
-    violated = {
-        predicate: rows
-        for predicate, rows in result.insertions.items()
-        if predicate != GLOBAL_IC and rows
-    }
-    ic_inserted = bool(result.insertions_of(GLOBAL_IC))
-    return ICCheckResult(
-        ok=not ic_inserted,
-        violations=violated,
-        transaction=result.transaction,
-    )
+    require_consistent(interpreter.old_extension(GLOBAL_IC))
+    watched = [GLOBAL_IC, *_constraint_predicates(db)]
+    return verdict_of(db, interpreter.interpret(transaction,
+                                                predicates=watched))
 
 
 def check_transaction_full(db: DeductiveDatabase, transaction: Transaction,
@@ -146,25 +165,9 @@ def check_transaction_full(db: DeductiveDatabase, transaction: Transaction,
     re-materialisation it saves.
     """
     interpreter = interpreter or UpwardInterpreter(db)
-    if interpreter.old_extension(GLOBAL_IC):
-        raise StateError(
-            "integrity checking requires a consistent state; the database "
-            "already violates some constraint (Ic holds). Use "
-            "repro.problems.repair to fix it first."
-        )
+    require_consistent(interpreter.old_extension(GLOBAL_IC))
     result = interpreter.interpret(transaction)
-    constraint_predicates = set(_constraint_predicates(db))
-    violated = {
-        predicate: rows
-        for predicate, rows in result.insertions.items()
-        if predicate in constraint_predicates and rows
-    }
-    verdict = ICCheckResult(
-        ok=not result.insertions_of(GLOBAL_IC),
-        violations=violated,
-        transaction=result.transaction,
-    )
-    return verdict, result
+    return verdict_of(db, result), result
 
 
 def current_violations(db: DeductiveDatabase,

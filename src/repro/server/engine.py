@@ -12,12 +12,16 @@ Concurrency model
   ``query`` requests share the read lock and are answered from the state
   the maintainer already keeps (base facts through the store's indexes,
   derived predicates from the standing extensions), so a warm read fires
-  no rule.  Requests that go through the update processor's cached
-  interpreters (``check``, ``upward``, ``monitor``, ``downward``,
-  ``repair``) additionally serialise on an interpreter mutex, because the
-  interpreters memoise old-state materialisations and are not re-entrant;
-  the one ``query`` that finds the maintainer cold takes the same mutex
-  to re-materialise it once.
+  no rule.  The upward what-ifs (``check``, ``upward``, ``monitor``) are
+  projections of one ``maintainer.whatif(transaction)``; a maintainer
+  whose what-ifs only read (``counting``: the delta rules over the
+  standing counts) serves them under the read lock alone, beside each
+  other and beside queries.  The interpreter mutex is left for what does
+  search or memoise: ``downward`` and ``repair`` (whose old-state
+  literals read the maintainer's extents, not a copy of their own), the
+  what-ifs of the ``advance`` / ``invalidate`` maintainers (answered by
+  the processor's memoising upward interpreter), and the one reader that
+  finds the maintainer cold and re-materialises it once.
 - *Group commit.*  ``commit`` enqueues the transaction and the first thread
   through the batch lock becomes the leader: it drains the queue, packs up
   to ``max_batch`` transactions with pairwise-disjoint fact sets into one
@@ -30,11 +34,13 @@ Concurrency model
   deferred to the next batch and re-validated against the new state.
   Batch members commute (disjoint fact sets) and batches are sequential,
   so the *applied* history is serializable.  Reject semantics are enforced
-  per member: a batch only fast-commits when every member passes its own
-  integrity check against the batch-start state *and* the merged batch
-  passes; otherwise the slow path executes the batch serially, so a
-  transaction that would be rejected on its own is never smuggled in by
-  its batch mates.  (One theoretical gap remains: three or more
+  per member: a member that fails its own integrity check against the
+  batch-start state is rejected with that verdict -- the serial order
+  that runs it first rejects it too, so it is never smuggled in by its
+  batch mates, and never checked twice -- and the others fast-commit when
+  their merged transaction passes as well; if it does not (they
+  interact), or a member asks for another policy, the slow path executes
+  them serially.  (One theoretical gap remains: three or more
   transactions whose constraint interactions violate at every intermediate
   prefix but not at the endpoints can fast-commit together although a
   strictly serial execution would reject one -- see docs/SERVER.md.)
@@ -45,16 +51,18 @@ Concurrency model
   timeout, or a crash between fsync and ack -- returns the original result
   instead of double-applying.  A duplicate arriving while the first
   attempt is still queued joins its wait instead of enqueuing again.
-- *Warm derived-state cache.*  The interpreters memoise the old-state
-  materialisation of every derived predicate.  A fast-path commit computes
-  its integrity check as a *full-coverage* upward interpretation and, after
-  applying the batch, **advances** the memoised extensions with the induced
-  events instead of invalidating them (``cache_mode="advance"``); readers
-  interleaved with commits therefore keep hitting warm state.  Slow-path
-  commits, unchecked commits, checkpoints and advance failures fall back to
-  full invalidation.  Surfaced as ``cache.advance`` / ``cache.invalidate``
-  / ``cache.rematerialize`` counters and a ``cache_epoch`` in ``stats``;
-  see docs/SERVER.md for the lifecycle table.
+- *Warm derived state.*  The maintainer keeps the extension of every
+  derived predicate standing.  A fast-path commit computes its integrity
+  check as a *full-coverage* upward interpretation and, after applying the
+  batch, **advances** the maintained extensions with the induced events
+  instead of dropping them (``cache_mode="advance"`` patches the upward
+  interpreter's memoised state, ``"counting"`` folds in derivation
+  counts); readers interleaved with commits therefore keep hitting warm
+  state.  Slow-path commits, unchecked commits, checkpoints and advance
+  failures fall back to a full reset.  Surfaced as ``cache.advance`` /
+  ``cache.invalidate`` / ``cache.rematerialize`` counters and a
+  ``cache_epoch`` in ``stats``; see docs/SERVER.md for the lifecycle
+  table.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from repro.core.durable import DurableDatabase, transaction_digest
 from repro.core.processor import UpdateProcessor
 from repro.datalog.builtins import evaluate_builtin, is_builtin
 from repro.datalog.compile_plan import resolve_engine
-from repro.datalog.database import answer_rows
+from repro.datalog.database import GLOBAL_IC, answer_rows
 from repro.datalog.errors import DatalogError, SafetyError, TransactionError
 from repro.datalog.parser import parse_atom
 from repro.datalog.rules import Atom
@@ -89,6 +97,10 @@ from repro.datalog.errors import SubscriptionError
 from repro.obs import tracer as obs
 from repro.problems import ICCheckResult
 from repro.problems.base import StateError
+from repro.problems.condition_monitoring import (
+    check_conditions,
+    condition_changes,
+)
 from repro.server.feed import BoundGoal, FeedBus, parse_goals
 from repro.server.metrics import MetricsRegistry
 
@@ -315,7 +327,7 @@ class _Pending:
     """One queued commit awaiting its batch."""
 
     __slots__ = ("transaction", "policy", "done", "outcome", "error",
-                 "txn_id", "digest")
+                 "txn_id", "digest", "check")
 
     def __init__(self, transaction: Transaction, policy: str,
                  txn_id: str | None = None, digest: str | None = None):
@@ -326,6 +338,9 @@ class _Pending:
         self.done = threading.Event()
         self.outcome: CommitOutcome | None = None
         self.error: BaseException | None = None
+        #: This member's own verdict against its batch-start state, once
+        #: the group commit has computed one.
+        self.check: ICCheckResult | None = None
 
     def fact_keys(self) -> frozenset:
         return frozenset((e.predicate, e.args) for e in self.transaction)
@@ -422,6 +437,10 @@ class DatabaseEngine:
                 "ivm.delta_rules",
                 self._maintainer.counting_engine().n_delta_rules)
         self._rwlock = RWLock()
+        #: Serialises the readers that search or memoise (``downward``,
+        #: ``repair``, the processor-backed what-ifs) and the one that
+        #: warms a cold maintainer.  Always taken *inside* the read lock,
+        #: so a writer -- alone under the write lock -- never needs it.
         self._interp_lock = threading.Lock()
         self._batch_lock = threading.Lock()
         self._pending_lock = threading.Lock()
@@ -520,7 +539,7 @@ class DatabaseEngine:
         membership test when ground, one pass over that predicate's
         extent otherwise.  Warm reads share the read lock and nothing
         else, so they run beside each other; after a maintainer reset
-        (slow-path batch, checkpoint, unchecked commit, recovery, every
+        (serial batch, checkpoint, unchecked commit, recovery, every
         commit in ``invalidate`` mode) the first reader re-materialises
         the state once under the interpreter mutex and every read until
         the next reset is served from that.
@@ -555,42 +574,84 @@ class DatabaseEngine:
             return "base", ()  # unknown predicate: no rows, as in db.query
         if db.schema.is_base(predicate):
             return "base", db.lookup(predicate, target.args)
+        path = ("warmup" if self._warm_maintainer("query.warmups")
+                else "maintained")
+        return path, self._maintainer.lookup(predicate, target.args)
+
+    def _warm_maintainer(self, counter: str) -> bool:
+        """Warm a cold maintainer exactly once; True for the caller who did.
+
+        Call under the read lock.  The mutex keeps concurrent readers
+        (and the interpreter ops) from materialising in parallel; whoever
+        lost the race finds it warm.
+        """
         maintainer = self._maintainer
-        path = "maintained"
-        if not maintainer.active:
-            # Cold: warm it exactly once.  The mutex keeps concurrent
-            # readers (and the interpreter ops) from materialising in
-            # parallel; whoever lost the race finds it warm.
-            with self._interp_lock:
-                if not maintainer.active:
-                    maintainer.bootstrap()
-                    self.metrics.increment("query.warmups")
-                    path = "warmup"
-        return path, maintainer.lookup(predicate, target.args)
+        if maintainer.active:
+            return False
+        with self._interp_lock:
+            if maintainer.active:
+                return False
+            maintainer.bootstrap()
+            self.metrics.increment(counter)
+            return True
+
+    def _whatif(self, op: str, answer: Callable[[StateMaintainer], object]):
+        """One upward what-if: *answer* projects the maintainer's upward
+        interpretation of a hypothetical transaction onto the op's reply.
+
+        A maintainer with pure what-ifs is read under the read lock alone
+        (after the same warm-once as ``query``); the others answer
+        through the processor's memoising interpreter, one at a time.
+        """
+        self._ensure_open()
+        maintainer = self._maintainer
+        with self.metrics.time(op), obs.span("engine.whatif") as span, \
+                self._rwlock.read():
+            if not maintainer.pure_whatifs:
+                if obs.enabled():
+                    span.set(op=op, path="processor")
+                with self._interp_lock:
+                    return answer(maintainer)
+            warmed = self._warm_maintainer("whatif.warmups")
+            if obs.enabled():
+                span.set(op=op, path="warmup" if warmed else "maintained")
+            return answer(maintainer)
+
+    def check(self, transaction: Transaction) -> ICCheckResult:
+        """Integrity checking (5.1.1) without applying."""
+        return self._whatif("check", lambda m: m.check(transaction))
+
+    def upward(self, transaction: Transaction,
+               predicates: Iterable[str] | None = None):
+        """Induced derived events of a hypothetical transaction."""
+        def induced(maintainer: StateMaintainer):
+            result = maintainer.whatif(transaction)
+            return (result if predicates is None
+                    else result.restricted_to(predicates))
+        return self._whatif("upward", induced)
+
+    def monitor(self, transaction: Transaction,
+                conditions: Iterable[str] | None = None):
+        """Condition monitoring (5.1.2)."""
+        def changes(maintainer: StateMaintainer):
+            watched = (list(conditions) if conditions is not None
+                       else list(self._processor.conditions()))
+            check_conditions(self.db, watched)
+            return condition_changes(maintainer.whatif(transaction), watched)
+        return self._whatif("monitor", changes)
 
     def _interpret(self, op: str, fn: Callable):
         self._ensure_open()
         with self.metrics.time(op), self._rwlock.read(), self._interp_lock:
             return fn()
 
-    def check(self, transaction: Transaction) -> ICCheckResult:
-        """Integrity checking (5.1.1) without applying."""
-        return self._interpret("check", lambda: self._processor.check(transaction))
-
-    def upward(self, transaction: Transaction,
-               predicates: Iterable[str] | None = None):
-        """Induced derived events of a hypothetical transaction."""
-        return self._interpret(
-            "upward", lambda: self._processor.upward(transaction, predicates))
-
-    def monitor(self, transaction: Transaction,
-                conditions: Iterable[str] | None = None):
-        """Condition monitoring (5.1.2)."""
-        return self._interpret(
-            "monitor", lambda: self._processor.monitor(transaction, conditions))
-
     def downward(self, requests):
-        """View updating / downward interpretation (5.2)."""
+        """View updating / downward interpretation (5.2).
+
+        A search, so it runs under the interpreter mutex; its old-state
+        literals read the store's indexes and the maintainer's standing
+        extents (the processor's downward interpreter is bound to them).
+        """
         return self._interpret(
             "downward", lambda: self._processor.downward(requests))
 
@@ -1034,8 +1095,7 @@ class DatabaseEngine:
         self._ensure_open()
         self._check_txn_id(txn_id)
         digest = transaction_digest(transaction)
-        with self.metrics.time("prepare"), self._rwlock.write(), \
-                self._interp_lock:
+        with self.metrics.time("prepare"), self._rwlock.write():
             existing = self._prepared.get(txn_id)
             if existing is not None:
                 if existing.digest != digest:
@@ -1100,8 +1160,7 @@ class DatabaseEngine:
         if decision not in ("commit", "abort"):
             raise TxnStateError(f"unknown 2PC decision: {decision!r}")
         self._check_txn_id(txn_id)
-        with self.metrics.time("decide"), self._rwlock.write(), \
-                self._interp_lock:
+        with self.metrics.time("decide"), self._rwlock.write():
             prepared = self._prepared.get(txn_id)
             if prepared is None:
                 record = self._store.txns.get(txn_id)
@@ -1220,7 +1279,7 @@ class DatabaseEngine:
         self.metrics.increment("commit.batches")
         with obs.span("engine.commit_batch") as span:
             lock_start = time.perf_counter()
-            with self._rwlock.write(), self._interp_lock:
+            with self._rwlock.write():
                 if obs.enabled():
                     span.add("batch_size", len(batch))
                     span.add("lock_wait_seconds",
@@ -1256,28 +1315,34 @@ class DatabaseEngine:
             span.set(path="group")
             return
         span.set(path="serial")
-        # Slow path: a violation (or a non-reject policy) somewhere in
-        # the batch -- process sequentially through the shared checked
-        # path, still paying one fsync for the whole batch.  Entries
-        # whose events (or txn outcome markers) reached the log are
-        # acknowledged only after sync_log(): waking a waiter before the
-        # fsync would let the server confirm a commit -- or remember a
-        # rejection -- a crash could still lose.  If sync_log raises,
-        # _drain fails every unfinished entry.
+        # Slow path: a non-reject policy somewhere in the batch, or
+        # members that pass alone but not together -- process
+        # sequentially through the shared checked path, still paying one
+        # fsync for the whole batch.  A member the group commit already
+        # rejected against the batch-start state keeps that verdict (the
+        # serial order that runs it first agrees) and is not checked
+        # again.  Entries whose events (or txn outcome markers) reached
+        # the log are acknowledged only after sync_log(): waking a waiter
+        # before the fsync would let the server confirm a commit -- or
+        # remember a rejection -- a crash could still lose.  If sync_log
+        # raises, _drain fails every unfinished entry.
         to_ack: list[tuple[_Pending, CommitOutcome]] = []
         applied_any = False
         for entry in valid:
-            try:
-                outcome = checked_commit(
-                    self._processor, entry.transaction,
-                    lambda t, e=entry: self._store.commit(
-                        t, sync=False,
-                        txn=((e.txn_id, e.digest)
-                             if e.txn_id is not None else None)),
-                    on_violation=entry.policy)
-            except DatalogError as error:
-                self._finish(entry, error=error)
-                continue
+            if entry.check is not None and not entry.check.ok:
+                outcome = self._rejection(entry)
+            else:
+                try:
+                    outcome = checked_commit(
+                        self._processor, entry.transaction,
+                        lambda t, e=entry: self._store.commit(
+                            t, sync=False,
+                            txn=((e.txn_id, e.digest)
+                                 if e.txn_id is not None else None)),
+                        on_violation=entry.policy)
+                except DatalogError as error:
+                    self._finish(entry, error=error)
+                    continue
             applied_any = applied_any or outcome.applied
             if (outcome.applied and outcome.check is None
                     and entry.policy != "ignore" and db.constraints):
@@ -1289,11 +1354,7 @@ class DatabaseEngine:
                 else:
                     self._finish(entry, outcome=outcome)
             elif entry.txn_id is not None:
-                # A rejection never reaches the log through commit(); write
-                # a marker so a post-crash retry replays the verdict
-                # instead of re-checking against a moved state.
-                self._store.log_txn_outcome(entry.txn_id, entry.digest,
-                                            applied=False)
+                self._log_rejection(entry)
                 to_ack.append((entry, outcome))
             else:
                 self._finish(entry, outcome=outcome)
@@ -1311,6 +1372,22 @@ class DatabaseEngine:
         for entry, outcome in to_ack:
             self._finish(entry, outcome=outcome)
 
+    def _rejection(self, entry: _Pending) -> CommitOutcome:
+        """The outcome of a member its own batch-start verdict rejected:
+        the maintainer's verdict is the reply, nothing is checked twice."""
+        self.metrics.increment("commit.rejected_fast")
+        return CommitOutcome(False, entry.transaction, check=entry.check)
+
+    def _log_rejection(self, entry: _Pending) -> None:
+        """Write a stamped rejection's outcome marker (unsynced).
+
+        A rejection never reaches the log through commit(); the marker
+        lets a post-crash retry replay the verdict instead of
+        re-checking against a moved state.
+        """
+        self._store.log_txn_outcome(entry.txn_id, entry.digest,
+                                    applied=False)
+
     def _sync_log(self) -> None:
         """One WAL fsync, traced and counted."""
         with obs.span("engine.fsync"):
@@ -1320,24 +1397,28 @@ class DatabaseEngine:
     def _group_commit(self, batch: list[_Pending]) -> bool:
         """Fast path: shared-state checks, one fsync.  False -> slow path.
 
-        Reject semantics are enforced per member: every transaction must
-        pass its *own* integrity check against the batch-start state (so a
+        Reject semantics are enforced per member: every transaction is
+        checked on its *own* against the batch-start state, and one that
+        fails is rejected with that verdict there and then -- a
         transaction each serial order would reject cannot hide behind its
-        batch mates) and the merged batch must pass as a whole (so the
-        post-batch state is consistent).  All checks hit the same old
-        state, so the upward interpreter's memoised materialisations are
-        reused across the whole batch -- that, plus the single fsync, is
-        the amortisation group commit pays for.
+        batch mates, and the maintainer's verdict is the reply (outcome
+        marker, shared fsync, ack after the sync; no second check).  The
+        members that pass must also pass merged (so the post-batch state
+        is consistent); when they do not, they interact and the serial
+        path decides between them.  All checks hit the same old state --
+        that, plus the single fsync, is the amortisation group commit
+        pays for.
 
         Derived-state maintenance is delegated to the configured
         :class:`StateMaintainer`: in ``advance`` mode the merged check
         runs with *full* predicate coverage and after the batch is
-        applied its induced events patch the memoised derived extensions
-        in place (:meth:`UpdateProcessor.advance_state_caches`); in
-        ``counting`` mode the check itself *is* the delta-rule
-        evaluation, and the staged derivation counts are folded in after
-        the batch is applied -- the view maintenance the paper reads out
-        of the event rules, applied to our own serving cache.  Unchecked
+        applied its induced events patch the upward interpreter's
+        memoised extensions in place
+        (:meth:`UpdateProcessor.advance_state_caches`); in ``counting``
+        mode the check itself *is* the delta-rule evaluation, and the
+        derivation-count changes it carries are folded in after the
+        batch is applied -- the view maintenance the paper reads out of
+        the event rules, applied to our own serving state.  Unchecked
         commits (inconsistent old state) and any advance failure fall
         back to a full maintainer reset.
         """
@@ -1345,6 +1426,19 @@ class DatabaseEngine:
         if any(entry.policy != "reject" for entry in batch):
             return False
         faults.failpoint(FP_PRE_BATCH_MERGE, batch_size=len(batch))
+        maintainer = self._maintainer
+        checked = bool(db.constraints)
+        if checked and maintainer.extension(GLOBAL_IC):
+            # Inconsistent old state: commit unchecked (the paper's
+            # methods need a consistent Do), but say so loudly.
+            checked = False
+            self._note_unchecked(len(batch))
+        rejected: list[_Pending] = []
+        if checked and len(batch) > 1:
+            for entry in batch:
+                entry.check = maintainer.check(entry.transaction)
+            rejected = [entry for entry in batch if not entry.check.ok]
+            batch = [entry for entry in batch if entry.check.ok]
         try:
             merged = Transaction(
                 event for entry in batch for event in entry.transaction)
@@ -1353,29 +1447,16 @@ class DatabaseEngine:
             # same fact) -- cannot happen for disjoint batches, but keep the
             # fast path honest.
             return False
-        maintainer = self._maintainer
-        checks: dict[int, ICCheckResult] = {}
         advance_result = None
-        if db.constraints:
-            try:
-                merged_verdict, advance_result = maintainer.check_full(merged)
-                if not merged_verdict.ok:
-                    return False
-                if len(batch) == 1:
-                    checks[0] = merged_verdict
-                else:
-                    for index, entry in enumerate(batch):
-                        verdict = maintainer.check(entry.transaction)
-                        if not verdict.ok:
-                            return False
-                        checks[index] = verdict
-            except StateError:
-                # Inconsistent old state: commit unchecked (the paper's
-                # methods need a consistent Do), but say so loudly.
-                checks = {}
-                advance_result = None
-                self._note_unchecked(len(batch))
-        else:
+        if checked and batch:
+            merged_verdict, advance_result = maintainer.check_full(merged)
+            if len(batch) == 1:
+                batch[0].check = merged_verdict
+            if not merged_verdict.ok:
+                if len(batch) > 1:
+                    return False  # they pass alone, not together
+                rejected, batch, advance_result = rejected + batch, [], None
+        elif not db.constraints:
             # No constraints, so no check ran -- a maintainer with warm
             # state still computes the batch's induced events so its
             # caches keep moving instead of resetting.
@@ -1387,10 +1468,11 @@ class DatabaseEngine:
         # Diff-fallback feed sourcing needs the pre-apply extents (the
         # maintainer produced no delta -- invalidate mode, unchecked
         # commits, cold caches); snapshot before any fact moves.
-        feed_before = self._feed_before_snapshot(advance_result)
+        feed_before = (self._feed_before_snapshot(advance_result)
+                       if batch else None)
         outcomes: list[tuple[_Pending, CommitOutcome]] = []
         synced = False
-        for index, entry in enumerate(batch):
+        for entry in batch:
             effective = self._store.commit(
                 entry.transaction, sync=False,
                 txn=((entry.txn_id, entry.digest)
@@ -1401,14 +1483,19 @@ class DatabaseEngine:
             synced = synced or bool(effective.events) \
                 or entry.txn_id is not None
             outcomes.append((entry, CommitOutcome(
-                True, entry.transaction, effective, checks.get(index))))
-        # Cache maintenance before the fsync: it depends only on the
-        # in-memory state, and doing it here keeps cache and database
-        # consistent even when sync_log fails below.
+                True, entry.transaction, effective, entry.check)))
+        for entry in rejected:
+            if entry.txn_id is not None:
+                self._log_rejection(entry)
+                synced = True
+            outcomes.append((entry, self._rejection(entry)))
+        # State maintenance before the fsync: it depends only on the
+        # in-memory state, and doing it here keeps maintained state and
+        # database consistent even when sync_log fails below.
         if advance_result is not None:
             faults.failpoint(FP_MID_CACHE_ADVANCE)
             maintainer.advance(advance_result)
-        else:
+        elif batch:
             maintainer.reset()
         if synced:
             self._sync_log()
@@ -1416,16 +1503,18 @@ class DatabaseEngine:
         # could still lose would be a phantom.  A crash here (or inside
         # the publish failpoint) leaves the commit durable with its frame
         # unsent -- subscribers resync, they never see duplicates.
-        self._feed_publish_delta(
-            txn_id=(batch[0].txn_id if len(batch) == 1 else None),
-            result=advance_result, before=feed_before)
+        if batch:
+            self._feed_publish_delta(
+                txn_id=(batch[0].txn_id if len(batch) == 1 else None),
+                result=advance_result, before=feed_before)
         faults.failpoint(FP_PRE_ACK)
         # Acknowledge strictly after the fsync: a waiter woken earlier
         # could see a successful commit a crash then loses.  If sync_log
         # raised above, _drain fails every unfinished entry instead.
         for entry, outcome in outcomes:
             self._finish(entry, outcome=outcome)
-        self.metrics.increment("commit.group_committed", len(batch))
+        if batch:
+            self.metrics.increment("commit.group_committed", len(batch))
         return True
 
     def _note_unchecked(self, n_transactions: int) -> None:
@@ -1446,8 +1535,7 @@ class DatabaseEngine:
     def checkpoint(self) -> None:
         """Fold the WAL into a fresh snapshot (write-locked)."""
         self._ensure_open()
-        with self.metrics.time("checkpoint"), self._rwlock.write(), \
-                self._interp_lock:
+        with self.metrics.time("checkpoint"), self._rwlock.write():
             self._store.checkpoint()
             # Snapshot/recovery boundaries rebuild from disk: conservative
             # full maintainer reset rather than trusting the warm state.

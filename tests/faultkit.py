@@ -31,8 +31,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults
+from repro.core.processor import UpdateProcessor
 from repro.datalog.database import DeductiveDatabase
-from repro.events.events import Transaction
+from repro.datalog.errors import DatalogError
+from repro.events.events import Transaction, delete, insert
+from repro.interpretations.downward import (
+    DownwardInterpreter,
+    want_delete,
+    want_insert,
+)
 from repro.server.engine import DatabaseEngine
 from repro.workloads.generators import random_transaction
 
@@ -322,8 +329,91 @@ def query_goals(db: DeductiveDatabase) -> list[str]:
     return goals
 
 
+def whatif_probes(db: DeductiveDatabase) -> list[Transaction]:
+    """Hypothetical transactions of every shape, over every base predicate:
+    a new fact (the hire), the removal of a stored one (the dismissal --
+    a violation wherever a constraint protects it), the insertion of a
+    stored one (a no-op, normalised away), and all of them at once."""
+    probes: list[Transaction] = []
+    together = []
+    schema = db.schema
+    for predicate in sorted(schema.base):
+        fresh = insert(predicate, *["Nobody"] * schema.arity(predicate))
+        probes.append(Transaction([fresh]))
+        together.append(fresh)
+        rows = sorted(db.facts_of(predicate), key=str)
+        if rows and rows[0] != fresh.args:
+            probes.append(Transaction([delete(predicate, *rows[0])]))
+            probes.append(Transaction([insert(predicate, *rows[0])]))
+            together.append(delete(predicate, *rows[0]))
+    probes.append(Transaction(together))
+    return probes
+
+
+def _outcome(call) -> tuple:
+    """What a request came to: its wire reply, or the type of its error."""
+    try:
+        return "reply", call().to_dict()
+    except DatalogError as error:
+        return "error", type(error)
+
+
+def check_whatifs_match_oracle(engine: DatabaseEngine) -> None:
+    """The non-applying Table 4.1 ops ≡ a from-scratch processor.
+
+    ``check`` / ``upward`` / ``monitor`` served from the maintainer must
+    give the byte-identical reply -- or raise the same typed error: an
+    inconsistent old state, a derived-predicate event, an unknown
+    monitored condition -- as a fresh :class:`UpdateProcessor` over the
+    same facts, and ``downward`` the same translations as a fresh
+    :class:`DownwardInterpreter` that materialises its own old state.
+    (Fresh per call: both oracles are built here, from the facts as they
+    stand, and thrown away.)
+    """
+    db = engine.db
+    oracle = UpdateProcessor(db)
+    derived = sorted(db.schema.derived)
+    probes = whatif_probes(db)
+    # Three projections of every probe; the plumbing around them -- a
+    # ``predicates=`` restriction, an unknown condition, a derived event
+    # -- once, on the probe that moves the most.
+    calls = [(op, arguments, probe) for probe in probes
+             for op, arguments in (("check", ()), ("upward", ()),
+                                   ("monitor", (derived,)))]
+    calls.append(("upward", (derived[:1],), probes[-1]))
+    calls.append(("monitor", (["NoSuchCondition"],), probes[-1]))
+    if derived:
+        arity = db.schema.arity(derived[0])
+        on_a_view = Transaction([insert(derived[0], *["Nobody"] * arity)])
+        calls.extend((op, (), on_a_view) for op in ("check", "upward"))
+    for op, arguments, probe in calls:
+        served = _outcome(lambda: getattr(engine, op)(probe, *arguments))
+        expected = _outcome(lambda: getattr(oracle, op)(probe, *arguments))
+        assert served == expected, (
+            f"{op}({probe}, {arguments}): engine says {served}, a fresh "
+            f"processor {expected} ({engine.cache_mode} maintainer)")
+    interpreter = DownwardInterpreter(db, program=oracle.program)
+    constraints = {rule.head.predicate for rule in db.constraints}
+    for view in derived:
+        if view in constraints:
+            continue
+        arity = db.schema.arity(view)
+        requests = [want_insert(view, *["Nobody"] * arity)]
+        rows = sorted(engine.maintainer.extension(view), key=str)
+        if rows:
+            requests.append(want_delete(view, *rows[0]))
+        for request in requests:
+            served = _outcome(lambda: engine.downward([request]))
+            expected = _outcome(lambda: interpreter.interpret([request]))
+            assert served == expected, (
+                f"downward {request}: engine says {served}, a fresh "
+                f"interpreter {expected} ({engine.cache_mode} maintainer)")
+
+
 def check_reads_match_oracle(host) -> None:
-    """``query`` served from maintained state ≡ ``db.query`` from scratch.
+    """Everything served from maintained state ≡ its from-scratch oracle:
+    ``query`` against ``db.query``, the what-ifs and ``downward`` against
+    fresh interpreters (:func:`check_whatifs_match_oracle`).
 
     *host* is an engine or an :class:`EngineGroup`; a group is checked
     member by member and then through its scatter-gather merge.
@@ -334,6 +424,7 @@ def check_reads_match_oracle(host) -> None:
             assert engine.query(goal) == engine.db.query(goal), (
                 f"{goal}: engine.query diverges from db.query "
                 f"({engine.cache_mode} maintainer)")
+        check_whatifs_match_oracle(engine)
     if len(engines) > 1:
         for goal in query_goals(engines[0].db):
             merged = {row for engine in engines

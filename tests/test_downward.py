@@ -241,6 +241,58 @@ class TestLimits:
         assert result.stats.old_queries >= 1
 
 
+class TestOldStateProbes:
+    """Old database literals are probes of the old state, not scans."""
+
+    @staticmethod
+    def _probe(n_people: int):
+        from repro.workloads import employment_database
+
+        db = employment_database(n_people, seed=5)
+        interpreter = DownwardInterpreter(db)
+        person = sorted(db.query("Unemp(x)"))[0][0]
+        request = want_delete("Unemp", person)
+        interpreter.interpret(request)  # materialises the old state
+        stats = interpreter.old_state.evaluator.stats
+        before = stats.snapshot()
+        result = interpreter.interpret(request)
+        return stats.delta_since(before).literals_matched, result
+
+    def test_ground_probes_do_not_grow_with_the_extent(self):
+        small, small_result = self._probe(200)
+        large, large_result = self._probe(2000)
+        assert small == large > 0
+        assert len(small_result.translations) \
+            == len(large_result.translations) > 0
+
+    def test_caller_supplied_old_state_is_read_instead(self, employment_db):
+        """The interpreter asks whatever old-state source it was given
+        about derived atoms -- and only about those."""
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner, self.asked = inner, []
+
+            def holds(self, predicate, row):
+                self.asked.append(predicate)
+                return self.inner.holds(predicate, row)
+
+            def lookup(self, predicate, pattern):
+                self.asked.append(predicate)
+                return self.inner.lookup(predicate, pattern)
+
+        reference = DownwardInterpreter(employment_db)
+        source = Recording(reference.old_state)
+        interpreter = DownwardInterpreter(employment_db, old_state=source)
+        for request in (want_delete("Unemp", "Dolors"),
+                        want_insert("Unemp", "Pere"),
+                        want_insert("Works", "Dolors")):
+            assert interpreter.interpret(request).to_dict() \
+                == reference.interpret(request).to_dict()
+        assert source.asked
+        assert set(source.asked) <= set(employment_db.schema.derived) | {"Ic"}
+
+
 class TestResultApi:
     def test_str_translations(self, pqr_db):
         result = DownwardInterpreter(pqr_db).interpret(want_insert("P", "B"))

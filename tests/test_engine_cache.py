@@ -15,9 +15,14 @@ import time
 
 import pytest
 
+from repro.core.processor import UpdateProcessor
 from repro.datalog import DeductiveDatabase
 from repro.events.events import Transaction, insert, parse_transaction
-from repro.interpretations import UpwardInterpreter
+from repro.interpretations import (
+    DownwardInterpreter,
+    UpwardInterpreter,
+    want_insert,
+)
 from repro.server.engine import DatabaseEngine
 from repro.workloads import employment_database
 
@@ -335,24 +340,32 @@ class TestConcurrentReaders:
         finally:
             engine.close(checkpoint=False)
 
-    def test_queries_racing_resets_see_only_committed_states(
+    def test_reads_and_whatifs_racing_resets_see_only_committed_states(
             self, tmp_path, monkeypatch):
-        """Reads served from maintained state, beside a writer that keeps
-        resetting it.
+        """Everything served from maintained state, beside a writer that
+        keeps moving and resetting it.
 
-        Readers hammer ``Unemp(q)`` for the hires in flight: ``insert
-        La(q), insert Works(q)`` is atomic, so ``Unemp(q)`` holds in no
-        committed state and a reader that saw it caught a half-applied
-        hire (or a half-built extent).  No writer ever changes who is
-        unemployed, so the unbound answer is the same in every committed
-        state too.  The writer forces maintainer resets -- a batch with a
-        rejected member takes the serial path, and ``checkpoint()`` --
-        and each reset must be re-warmed exactly once, whoever gets there
-        first, not once per reader.
+        Query readers hammer ``Unemp(q)`` for the hires in flight:
+        ``insert La(q), insert Works(q)`` is atomic, so ``Unemp(q)``
+        holds in no committed state and a reader that saw it caught a
+        half-applied hire (or a half-built extent).  No writer ever
+        changes who is unemployed, so the unbound answer is the same in
+        every committed state too.  What-if threads run ``check`` /
+        ``upward`` / ``monitor`` on the same hires under the read lock
+        alone and a ``downward`` thread runs beside them under the
+        interpreter mutex: each reply must be the from-scratch oracle's
+        against the state before the hire or the state after it --
+        ``upward(insert Works(q))`` seen on a half-applied hire would
+        report ``δUnemp(q)``, ``downward(ins Unemp(q))`` "already
+        satisfied", which no committed state gives.  The writer mixes
+        plain hires, batches with a rejected member (rejected on the
+        fast path: no reset), serial-path commits and ``checkpoint()``
+        (both reset the maintainer), and each reset must be re-warmed
+        exactly once, whoever gets there first, not once per reader.
         """
+        initial = employment_database(20, seed=11)
         engine = DatabaseEngine.open(
-            tmp_path / "d", initial=employment_database(20, seed=11),
-            cache_mode="counting")
+            tmp_path / "d", initial=initial, cache_mode="counting")
         # Stretch the warm-up (sleeping drops the GIL) so that readers
         # which are not serialised around it would all pile in.
         bootstrap = engine.maintainer.bootstrap
@@ -360,31 +373,72 @@ class TestConcurrentReaders:
                             lambda: (time.sleep(0.005), bootstrap()))
         unemployed = engine.db.query("Unemp(x)")
         hires = [f"H{i}" for i in range(30)]
+
+        def hire_of(person: str) -> Transaction:
+            return parse_transaction(
+                f"insert La({person}), insert Works({person})")
+
+        def probes(person: str) -> list[tuple]:
+            return [("check", parse_transaction(f"delete Works({person})")),
+                    ("upward", parse_transaction(f"insert Works({person})")),
+                    ("monitor", parse_transaction(f"insert Works({person})"),
+                     ["Unemp"])]
+
+        # The rules are per person, so what a probe about q answers
+        # depends on the committed state only through "q hired yet?".
+        allowed: dict[str, list] = {}
+        for person in hires:
+            states = [initial, hire_of(person).apply_to(initial)]
+            oracles = [UpdateProcessor(state) for state in states]
+            allowed[person] = [
+                [getattr(oracle, op)(*arguments).to_dict()
+                 for op, *arguments in probes(person)]
+                + [DownwardInterpreter(state).interpret(
+                    want_insert("Unemp", person)).to_dict()]
+                for state, oracle in zip(states, oracles)]
         failures: list[str] = []
         stop = threading.Event()
         resets = 0
-        turns = [0, 0, 0]  # per reader: completed loop iterations
+        turns = [0] * 5  # per thread: completed loop iterations
 
-        def reader(offset: int) -> None:
-            while not stop.is_set():
-                hire = hires[(turns[offset] + offset) % len(hires)]
-                turns[offset] += 1
-                try:
-                    half_applied = engine.query(f"Unemp({hire})")
-                    everyone = engine.query("Unemp(x)")
-                except Exception as error:  # noqa: BLE001 - fail the test
-                    failures.append(f"query raised: {error!r}")
-                    return
-                if half_applied:
-                    failures.append(f"saw La({hire}) without Works({hire})")
-                    return
-                if everyone != unemployed:
-                    failures.append(f"Unemp(x) matched no committed state: "
-                                    f"{everyone}")
-                    return
+        def next_hire(slot: int) -> str:
+            hire = hires[(turns[slot] + slot) % len(hires)]
+            turns[slot] += 1
+            return hire
 
-        def let_every_reader_in() -> None:
-            """Hold the writer back until each reader has come round, so
+        def guarded(body):
+            def run(slot: int) -> None:
+                while not stop.is_set() and not failures:
+                    try:
+                        body(next_hire(slot))
+                    except Exception as error:  # noqa: BLE001 - fail the test
+                        failures.append(f"{body.__name__} raised: {error!r}")
+            return run
+
+        def reader(hire: str) -> None:
+            if engine.query(f"Unemp({hire})"):
+                failures.append(f"saw La({hire}) without Works({hire})")
+            everyone = engine.query("Unemp(x)")
+            if everyone != unemployed:
+                failures.append(
+                    f"Unemp(x) matched no committed state: {everyone}")
+
+        def whatif(hire: str) -> None:
+            for index, (op, *arguments) in enumerate(probes(hire)):
+                reply = getattr(engine, op)(*arguments).to_dict()
+                if reply not in [state[index] for state in allowed[hire]]:
+                    failures.append(
+                        f"{op} about {hire} matched no committed state: "
+                        f"{reply}")
+
+        def downward(hire: str) -> None:
+            reply = engine.downward([want_insert("Unemp", hire)]).to_dict()
+            if reply not in [state[-1] for state in allowed[hire]]:
+                failures.append(f"downward ins Unemp({hire}) matched no "
+                                f"committed state: {reply}")
+
+        def let_every_thread_in() -> None:
+            """Hold the writer back until each thread has come round, so
             all of them meet the state the reset left cold."""
             seen = list(turns)
             deadline = time.monotonic() + 5
@@ -396,42 +450,51 @@ class TestConcurrentReaders:
         def writer() -> None:
             nonlocal resets
             for i, hire in enumerate(hires):
-                transaction = parse_transaction(
-                    f"insert La({hire}), insert Works({hire})")
-                if i % 3 == 0:
-                    # A rejected batch mate sends the batch down the
-                    # serial path, which resets the maintainer.
+                if i % 4 == 0:
+                    # The batch mate is rejected by its own verdict; the
+                    # hire still group-commits and nothing is reset.
                     outcomes = engine.commit_many(
-                        [transaction, parse_transaction(f"insert La(V{i})")])
+                        [hire_of(hire), parse_transaction(f"insert La(V{i})")])
                     assert [o.applied for o in outcomes] == [True, False]
+                elif i % 4 == 1:
+                    assert engine.commit(hire_of(hire)).applied
+                    engine.checkpoint()
                     resets += 1
-                    let_every_reader_in()
+                    let_every_thread_in()
+                elif i % 4 == 2:
+                    # Any other policy takes the serial path, which
+                    # moves facts without delta maintenance: a reset.
+                    assert engine.commit(hire_of(hire),
+                                         on_violation="maintain").applied
+                    resets += 1
+                    let_every_thread_in()
                 else:
-                    assert engine.commit(transaction).applied
-                    if i % 3 == 1:
-                        engine.checkpoint()
-                        resets += 1
-                        let_every_reader_in()
+                    assert engine.commit(hire_of(hire)).applied
 
-        readers = [threading.Thread(target=reader, args=(o,))
-                   for o in range(3)]
+        threads = [threading.Thread(target=guarded(body), args=(slot,))
+                   for slot, body in enumerate(
+                       (reader, reader, whatif, whatif, downward))]
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)  # interleave inside the reads
         try:
-            for thread in readers:
+            for thread in threads:
                 thread.start()
             writer()
             stop.set()
-            for thread in readers:
+            for thread in threads:
                 thread.join(timeout=30)
-                assert not thread.is_alive(), "reader never finished"
+                assert not thread.is_alive(), "a reader never finished"
             assert not failures, failures
+            assert all(turns), "some thread never ran"
             faultkit.check_reads_match_oracle(engine)  # warms the last reset
             counters = engine.stats()["counters"]
             # One bootstrap at open, then one per reset -- by the first
-            # reader to find it cold or by the next commit, never both.
+            # reader or what-if to find it cold or by the next commit,
+            # never more than one of them.
             assert counters["ivm.bootstrap"] == 1 + resets
-            assert counters.get("query.warmups", 0) <= resets
+            assert (counters.get("query.warmups", 0)
+                    + counters.get("whatif.warmups", 0)) <= resets
+            assert counters["commit.rejected_fast"] == len(hires[::4])
         finally:
             sys.setswitchinterval(switch_interval)
             stop.set()

@@ -118,6 +118,17 @@ class TestSolve:
         assert not ev.holds(parse_literal("P(B)"))
         assert ev.holds(parse_literal("not P(B)"))
 
+    def test_ground_derived_probe_is_one_membership_test(self):
+        """A ground positive literal over a derived predicate is looked
+        up, not matched against every row of the extent."""
+        facts = " ".join(f"Q(C{i})." for i in range(50))
+        ev = evaluator_for(facts + " P(x) <- Q(x).")
+        ev.materialize()
+        for literal, expected in (("P(C7)", True), ("P(Nope)", False)):
+            before = ev.stats.snapshot()
+            assert ev.holds(parse_literal(literal)) is expected
+            assert ev.stats.delta_since(before).literals_matched == 1
+
     def test_unsafe_negative_query_rejected(self):
         ev = evaluator_for("Q(A).")
         with pytest.raises(SafetyError):

@@ -250,6 +250,33 @@ def test_rejected_outcome_survives_recovery(tmp_path):
         recovered.close()
 
 
+def test_fast_rejection_is_replayed_not_rechecked_after_a_crash(tmp_path):
+    """A commit the maintainer's own verdict rejected (no second check)
+    still leaves its outcome marker: after the process dies un-closed the
+    retry gets the recorded 'no' -- even once the state has moved so that
+    a fresh check would say yes."""
+    engine = fresh_engine(tmp_path, cache_mode="counting")
+    transaction = strip_benefit(engine)
+    person = idle_people(engine)[0]
+    verdict = engine.check(transaction)
+    rejected = engine.commit(transaction, txn_id="t-no")
+    assert not rejected.applied
+    assert rejected.check.violations == verdict.violations
+    assert engine.metrics.counter("commit.rejected_fast") == 1
+    assert engine.processor._upward is None  # nobody re-checked it
+    recovered = faultkit.recover(tmp_path / "db", cache_mode="counting")
+    try:
+        assert recovered.commit(parse_transaction(
+            f"insert Works({person})")).applied
+        assert recovered.check(transaction).ok  # a re-check would pass now
+        replay = recovered.commit(transaction, txn_id="t-no")
+        assert not replay.applied and not replay.effective.events
+        assert recovered.metrics.counter("dedup.hit") == 1
+        assert recovered.db.has_fact("U_benefit", person)
+    finally:
+        recovered.close()
+
+
 def test_digest_mismatch_survives_recovery(tmp_path):
     """The recorded digest -- not just the id -- is durable: after a
     crash, reusing the id with a different body is still the typed

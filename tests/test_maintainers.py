@@ -318,3 +318,180 @@ class TestEngineBatchCounting:
             faultkit_oracle(engine)
         finally:
             engine.close()
+
+
+def people(engine: DatabaseEngine) -> tuple[list[str], list[str]]:
+    """(idle, working) people of the fixture; everyone holds a benefit."""
+    working = sorted(r[0].value for r in engine.db.facts_of("Works"))
+    idle = sorted(p for p in (f"P{i}" for i in range(12))
+                  if p not in working)
+    return idle, working
+
+
+class TestWhatifsFromMaintainedState:
+    """check / upward / monitor / downward and rejections are answered by
+    the maintainer: same replies as the from-scratch interpreters, none
+    of their standing state."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_oracle_through_resets(self, tmp_path, mode):
+        """After a fast commit, a rejection, a serial (slow-path) batch,
+        a checkpoint and a re-open, every non-applying op still equals
+        the fresh-processor / fresh-interpreter oracle."""
+        from tests import faultkit
+
+        engine = fresh_engine(tmp_path, cache_mode=mode)
+        try:
+            faultkit.check_reads_match_oracle(engine)
+            idle, working = people(engine)
+            assert engine.commit(parse_transaction(
+                f"insert Works({idle[0]})")).applied
+            faultkit.check_reads_match_oracle(engine)
+            assert not engine.commit(parse_transaction(
+                "insert La(Nobody)")).applied
+            faultkit.check_reads_match_oracle(engine)
+            assert engine.commit(parse_transaction(
+                f"delete Works({working[0]})"),
+                on_violation="maintain").applied
+            faultkit.check_reads_match_oracle(engine)
+            engine.checkpoint()
+            faultkit.check_reads_match_oracle(engine)
+        finally:
+            engine.close()
+        engine = DatabaseEngine.open(tmp_path / "db", cache_mode=mode)
+        try:
+            faultkit.check_reads_match_oracle(engine)
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_typed_errors_match_on_an_inconsistent_state(self, tmp_path,
+                                                        mode):
+        """``check`` refuses an inconsistent old state with the
+        processor's own typed error; the other what-ifs still answer."""
+        from repro.problems.base import StateError
+        from tests import faultkit
+
+        db = employment_database(n_people=12, seed=7)
+        db.add_fact("La", "Orphan")  # unemployed, no benefit: Ic1 holds
+        engine = DatabaseEngine.open(tmp_path / "db", initial=db,
+                                     cache_mode=mode)
+        try:
+            with pytest.raises(StateError):
+                engine.check(parse_transaction("insert Works(Orphan)"))
+            faultkit.check_whatifs_match_oracle(engine)
+        finally:
+            engine.close()
+
+    def test_counting_whatifs_and_rejections_build_no_interpreter(
+            self, tmp_path):
+        engine = fresh_engine(tmp_path, cache_mode="counting")
+        try:
+            idle, _ = people(engine)
+            bad = parse_transaction(f"delete U_benefit({idle[0]})")
+            good = parse_transaction(f"insert Works({idle[0]})")
+            for _ in range(5):
+                assert not engine.check(bad).ok
+                assert engine.check(good).ok
+                assert engine.upward(bad).insertions_of("Ic1")
+                assert engine.monitor(good, ["Unemp"]).deactivated
+            verdict = engine.check(bad)
+            rejected = engine.commit(bad, txn_id="no-1")
+            assert not rejected.applied
+            # The maintainer's verdict *is* the commit's: same rows, and
+            # nothing re-checked it.
+            assert rejected.check.violations == verdict.violations
+            assert rejected.check.to_dict() == verdict.to_dict()
+            counters = engine.stats()["counters"]
+            assert counters["commit.rejected_fast"] == 1
+            assert counters.get("cache.rematerialize", 0) == 0
+            assert counters.get("whatif.warmups", 0) == 0
+            assert engine.processor._upward is None
+            assert engine.maintainer.active  # and nothing was reset
+        finally:
+            engine.close()
+
+    def test_counting_whatifs_do_not_take_the_interpreter_mutex(
+            self, tmp_path):
+        """A warm what-if finishes while another thread sits on the
+        interpreter mutex (a long ``downward``, say); ``downward`` itself
+        waits for it."""
+        import threading
+
+        engine = fresh_engine(tmp_path, cache_mode="counting")
+        try:
+            idle, _ = people(engine)
+            probe = parse_transaction(f"insert Works({idle[0]})")
+            done: list[str] = []
+
+            def whatifs() -> None:
+                engine.check(probe)
+                engine.upward(probe)
+                engine.monitor(probe, ["Unemp"])
+                done.append("whatifs")
+
+            def downward() -> None:
+                from repro.interpretations.downward import want_insert
+                engine.downward([want_insert("Unemp", idle[0])])
+                done.append("downward")
+
+            with engine._interp_lock:
+                threads = [threading.Thread(target=whatifs),
+                           threading.Thread(target=downward)]
+                for thread in threads:
+                    thread.start()
+                threads[0].join(timeout=10)
+                assert not threads[0].is_alive(), \
+                    "a counting what-if blocked on the interpreter mutex"
+                assert done == ["whatifs"]  # downward is still waiting
+            threads[1].join(timeout=10)
+            assert not threads[1].is_alive()
+            assert done == ["whatifs", "downward"]
+        finally:
+            engine.close()
+
+    def test_cold_counting_whatif_warms_once(self, tmp_path):
+        engine = fresh_engine(tmp_path, cache_mode="counting")
+        try:
+            engine.checkpoint()  # resets the maintainer
+            assert not engine.maintainer.active
+            probe = parse_transaction(
+                f"insert Works({people(engine)[0][0]})")
+            assert engine.check(probe).ok
+            assert engine.upward(probe).deletions_of("Unemp")
+            assert engine.stats()["counters"]["whatif.warmups"] == 1
+            assert engine.metrics.counter("ivm.bootstrap") == 2
+        finally:
+            engine.close()
+
+    def test_mixed_batch_rejects_its_bad_members_on_the_fast_path(
+            self, tmp_path):
+        """Each member that fails alone against the batch-start state is
+        rejected with that verdict; the others still share one group
+        commit -- and a transaction every serial order rejects cannot
+        hide behind batch mates whose union would pass."""
+        engine = fresh_engine(tmp_path, cache_mode="counting", max_batch=8)
+        try:
+            idle, _ = people(engine)
+            outcomes = engine.commit_many([
+                parse_transaction(f"insert Works({idle[0]})"),
+                parse_transaction("insert La(Fresh)"),         # no benefit
+                parse_transaction("insert U_benefit(Fresh)"),  # its repair
+                parse_transaction("insert La(Other)"),
+            ], txn_ids=["a", "b", "c", "d"])
+            assert [o.applied for o in outcomes] == [True, False, True, False]
+            assert outcomes[1].check.violated_constraints() == ("Ic1",)
+            assert not engine.db.has_fact("La", "Fresh")
+            counters = engine.stats()["counters"]
+            assert counters["commit.rejected_fast"] == 2
+            assert counters["commit.group_committed"] == 2
+            assert counters["commit.wal_syncs"] == 1
+            assert engine.processor._upward is None
+            assert engine.metrics.counter("ivm.bootstrap") == 1  # no reset
+            faultkit_oracle(engine)
+            # The recorded rejections replay as rejections.
+            again = engine.commit(parse_transaction("insert La(Fresh)"),
+                                  txn_id="b")
+            assert not again.applied
+        finally:
+            engine.close()

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.events.events import parse_transaction
 from repro.obs import LATENCY_BUCKETS, LatencyHistogram
 from repro.obs import tracer as obs
 from repro.server.client import DatabaseClient
@@ -82,6 +83,74 @@ class TestEngineQuerySpan:
             monkeypatch.setattr(type(obs.NULL_SPAN), "add", forbidden)
             assert engine.query("Unemp(x)") == [("Dolors",)]
             assert engine.query("La(Dolors)") == [()]
+        finally:
+            engine.close(checkpoint=False)
+
+
+class TestEngineWhatifSpan:
+    """``engine.whatif`` names the op and who answered it."""
+
+    OPS = ("check", "upward", "monitor")
+
+    @staticmethod
+    def _run(engine, op):
+        probe = parse_transaction("insert Works(Dolors)")
+        arguments = (["Unemp"],) if op == "monitor" else ()
+        return getattr(engine, op)(probe, *arguments)
+
+    def test_span_names_op_and_path(self, tmp_path, employment_db):
+        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db,
+                                     cache_mode="counting")
+        try:
+            seen = []
+            with obs.use() as tracer:
+                for reset in (False, True):
+                    if reset:
+                        engine.checkpoint()  # leaves the maintainer cold
+                    for op in self.OPS:
+                        self._run(engine, op)
+                        root = tracer.last_root
+                        assert root.name == "engine.whatif"
+                        seen.append((root.attributes["op"],
+                                     root.attributes["path"]))
+            assert seen == [("check", "maintained"), ("upward", "maintained"),
+                            ("monitor", "maintained"), ("check", "warmup"),
+                            ("upward", "maintained"),
+                            ("monitor", "maintained")]
+            assert tracer.count("upward.interpret") == 0
+            counters = engine.stats()["counters"]
+            assert counters["whatif.warmups"] == 1
+            assert not engine.commit(
+                parse_transaction("insert La(Nobody)")).applied
+            assert engine.stats()["counters"]["commit.rejected_fast"] == 1
+        finally:
+            engine.close(checkpoint=False)
+
+    def test_other_maintainers_answer_through_the_processor(
+            self, tmp_path, employment_db):
+        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
+        try:
+            with obs.use() as tracer:
+                self._run(engine, "check")
+            root = tracer.last_root
+            assert root.attributes == {"op": "check", "path": "processor"}
+            assert tracer.count("upward.interpret") == 1
+        finally:
+            engine.close(checkpoint=False)
+
+    def test_disabled_tracer_allocates_nothing(self, tmp_path, employment_db,
+                                               monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tracing is off: no span work expected")
+
+        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db,
+                                     cache_mode="counting")
+        try:
+            monkeypatch.setattr(obs.Span, "__init__", forbidden)
+            monkeypatch.setattr(type(obs.NULL_SPAN), "set", forbidden)
+            monkeypatch.setattr(type(obs.NULL_SPAN), "add", forbidden)
+            for op in self.OPS:
+                self._run(engine, op)
         finally:
             engine.close(checkpoint=False)
 
