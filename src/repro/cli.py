@@ -552,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-connections", type=int, default=64)
     serve.add_argument("--max-inflight", type=int, default=None,
                        help="in-flight request budget before shedding with "
-                            "'overloaded' (default: 4x the worker pool)")
+                            "'overloaded' (default: 32)")
     serve.add_argument("--dedup-capacity", type=int, default=None,
                        help="bound on remembered txn_id outcomes "
                             "(exactly-once window; default 4096)")

@@ -8,8 +8,9 @@ is that interface made servable:
   one integrity check per batch), optimistic conflict deferral;
 - :mod:`repro.server.protocol` -- the versioned JSON-lines protocol whose
   request types map 1:1 onto the Table 4.1 problems;
-- :mod:`repro.server.server` -- the asyncio TCP server (timeouts,
-  connection backpressure, graceful checkpointing shutdown);
+- :mod:`repro.server.server` -- the threaded TCP server, one blocking
+  session thread per connection (timeouts, connection backpressure,
+  graceful checkpointing shutdown);
 - :mod:`repro.server.client` -- a small blocking client;
 - :mod:`repro.server.resilient` -- :class:`ResilientClient`, the
   self-healing front: reconnect, jittered backoff, deadline budgets and

@@ -12,8 +12,9 @@ Design constraints, in order of importance:
 - **The commit path never blocks on a subscriber.**  The bus is purely
   synchronous fan-out to callbacks; queueing, backpressure and socket
   writes all live with the caller (the server wraps each callback in a
-  bounded channel drained by the event loop).  A callback that raises is
-  dropped from the bus, never propagated into the commit.
+  bounded channel drained by a per-connection writer thread).  A
+  callback that raises is dropped from the bus, never propagated into
+  the commit.
 - **Frames are self-describing.**  A ``delta`` frame carries
   ``{txn_id, epoch, inserted, deleted}`` with rows in the same sorted-list
   wire shape as every other result type (:func:`repro.serde.rows_to_lists`).

@@ -25,8 +25,9 @@ key instead of ``ok``::
 
 :func:`dispatch` deserialises one decoded request into its typed form and
 executes it against a :class:`~repro.server.engine.DatabaseEngine`; the
-asyncio server, the blocking client's tests and in-process callers all
-share it, so wire semantics cannot drift from engine semantics.
+server's session threads, the blocking client's tests and in-process
+callers all share it, so wire semantics cannot drift from engine
+semantics.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for the asyncio TCP server and the blocking client.
+"""Tests for the threaded TCP server and the blocking client.
 
 Most tests host the server on a background thread inside this process; the
 end-to-end test at the bottom drives the real ``repro serve`` command in a
@@ -8,10 +8,12 @@ serve, commit, check, monitor, stats, graceful shutdown, recovery.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -180,6 +182,60 @@ class TestBackpressureAndTimeouts:
                     client.query("Unemp(x)")
                 assert excinfo.value.type == "timeout"
 
+    def test_timed_out_connection_keeps_serving(self, tmp_path,
+                                                employment_db):
+        """After a timeout the *same* connection is served by a successor
+        thread; the overdue op keeps its in-flight slot for exactly as
+        long as it really runs, and its late reply is never written."""
+        nap = 1.0
+        faults.arm(FP_PRE_DISPATCH, "sleep", param=nap, times=1)
+        engine = DatabaseEngine.open(tmp_path / "slow", initial=employment_db)
+        with ServerThread(engine, request_timeout=0.05) as port:
+            with DatabaseClient(port=port, handshake=False,
+                                timeout=10.0) as client:
+                started = time.monotonic()
+                with pytest.raises(ServerError) as excinfo:
+                    client.query("Unemp(x)")
+                assert excinfo.value.type == "timeout"
+                assert client.ping()
+                busy = client.health()["server"]
+                assert time.monotonic() - started < nap, (
+                    "too slow a box: the overdue op already woke up")
+                # The overdue query and this very health request.
+                assert busy["inflight"] == 2
+                assert busy["sessions"] == 2
+                assert busy["active_connections"] == 1
+                deadline = time.monotonic() + 10
+                while client.health()["server"]["inflight"] != 1:
+                    assert time.monotonic() < deadline, "slot never freed"
+                    time.sleep(0.02)
+                assert time.monotonic() - started >= nap, (
+                    "slot freed before the overdue op ended")
+                # call() matches reply ids: a late reply to the query
+                # would be the next line on the wire and fail this ping.
+                assert client.ping()
+                assert client.health()["server"]["sessions"] == 1
+        assert engine.metrics.counter("server.request_timeouts") == 1
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_crash_in_dispatch_ends_that_session_only(self, tmp_path,
+                                                      employment_db):
+        """SimulatedCrash is a BaseException: it unwinds the session
+        thread, which must still give back its in-flight slot."""
+        faults.arm(FP_PRE_DISPATCH, "crash", times=1)
+        engine = DatabaseEngine.open(tmp_path / "crash",
+                                     initial=employment_db)
+        with ServerThread(engine) as port:
+            with DatabaseClient(port=port, handshake=False,
+                                timeout=5.0) as doomed:
+                with pytest.raises(ConnectionError):
+                    doomed.ping()
+            with DatabaseClient(port=port) as client:
+                view = client.health()["server"]
+                assert view["inflight"] == 1  # this health request alone
+                assert view["active_connections"] == 1
+
 
 class TestSlowOpLog:
     def test_slow_ops_logged_and_counted(self, engine, caplog):
@@ -271,6 +327,98 @@ class TestShutdown:
         recovered = DurableDatabase.open(directory)
         assert recovered.db.has_fact("Works", "Maria")
         assert recovered.log_length() == 0
+
+    def test_shutdown_answers_inflight_work_and_wakes_idle_sessions(
+            self, tmp_path, employment_db):
+        directory = tmp_path / "d"
+        engine = DatabaseEngine.open(directory, initial=employment_db)
+        thread = ServerThread(engine)
+        port = thread.start()
+        idle = [socket.create_connection(("127.0.0.1", port), timeout=10)
+                for _ in range(8)]
+        parked = DatabaseClient(port=port, handshake=False, timeout=10.0)
+        admin = DatabaseClient(port=port, handshake=False, timeout=10.0)
+        outcome: dict = {}
+        try:
+            deadline = time.monotonic() + 10
+            while engine.health()["server"]["active_connections"] < 10:
+                assert time.monotonic() < deadline, "never all accepted"
+                time.sleep(0.01)
+            faults.arm(FP_PRE_DISPATCH, "sleep", param=0.6, times=1)
+            committer = threading.Thread(target=lambda: outcome.update(
+                parked.commit("insert Works(Maria)")))
+            committer.start()
+            while engine.health()["server"]["inflight"] < 1:
+                assert time.monotonic() < deadline, "commit never dispatched"
+                time.sleep(0.01)
+            assert admin.shutdown()["shutting_down"]
+            for sock in idle:  # parked in recv() server-side: woken, closed
+                assert sock.recv(1) == b""
+            committer.join(timeout=10)
+            assert outcome.get("applied"), (
+                f"in-flight commit was not answered: {outcome}")
+            answered = time.monotonic()
+            thread.stop()
+            assert time.monotonic() - answered < 2.0
+            assert not thread._thread.is_alive()
+        finally:
+            for sock in idle:
+                sock.close()
+            parked.close()
+            admin.close()
+            thread.stop()
+        recovered = DurableDatabase.open(directory)
+        assert recovered.db.has_fact("Works", "Maria")
+        assert recovered.log_length() == 0  # closed with a checkpoint
+
+    def test_shutdown_cuts_a_reply_nobody_reads(self, tmp_path,
+                                                many_unemployed_db):
+        """A peer that floods requests and never reads parks its session
+        in sendall(); shutdown gives it one request timeout, then cuts."""
+        engine = DatabaseEngine.open(tmp_path / "stall",
+                                     initial=many_unemployed_db,
+                                     cache_mode="counting")
+        thread = ServerThread(engine, request_timeout=0.2)
+        port = thread.start()
+        query = (b'{"v": 1, "op": "query", "params": {"goal": "Unemp(x)"}}'
+                 b"\n")
+        with socket.create_connection(("127.0.0.1", port)) as deaf:
+            deaf.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            deaf.settimeout(0.0)
+            flood = query * 4000
+            # ~80 MB of replies against a few MB of socket buffers: the
+            # server ends up blocked writing and stops reading.
+            with contextlib.suppress(BlockingIOError):
+                while flood:
+                    flood = flood[deaf.send(flood):]
+
+            def answered() -> int:
+                queries = engine.metrics.snapshot()["requests"].get("query")
+                return queries["count"] if queries else 0
+
+            deadline = time.monotonic() + 20
+            before = -1
+            while answered() == 0 or answered() != before:
+                assert time.monotonic() < deadline, "server never stalled"
+                before = answered()
+                time.sleep(0.3)
+            started = time.monotonic()
+            thread.stop()
+            assert not thread._thread.is_alive()
+            assert time.monotonic() - started < 5.0
+
+
+class TestImports:
+    def test_serving_stack_does_not_import_asyncio(self):
+        """The front-end is plain threads: importing it (and the CLI)
+        must not pay for the asyncio package."""
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        subprocess.run(
+            [sys.executable, "-c",
+             "import repro.server, repro.cli, sys; "
+             "assert 'asyncio' not in sys.modules; "
+             "assert 'concurrent.futures' not in sys.modules"],
+            env=env, check=True, timeout=60)
 
 
 @pytest.mark.slow

@@ -15,7 +15,6 @@ over, and a subscriber that stops reading must never delay a commit ack
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
@@ -332,6 +331,63 @@ class TestWireFeed:
             assert elapsed < 20, "commits throttled by a dead subscriber"
             stalled.close()
 
+    def test_replies_and_feed_frames_never_interleave(
+            self, tmp_path, many_unemployed_db):
+        """Two threads write one socket: the session thread its replies
+        (some 19 kB), the feed writer its frames.  Every line must still
+        be exactly one JSON object (the client raises on anything else)
+        and no frame may go missing -- while the session also registers
+        standing queries against a committer that is publishing into its
+        channel."""
+        engine = DatabaseEngine.open(tmp_path / "db",
+                                     initial=many_unemployed_db,
+                                     cache_mode="counting")
+        rounds = 200
+        seqs: dict[str, list[int]] = {}
+
+        with ServerThread(engine, max_inflight=512) as port:
+            def other_committer():
+                with DatabaseClient(port=port) as writer:
+                    for step in range(rounds):
+                        assert writer.commit(
+                            f"insert La(B{step}), "
+                            f"insert U_benefit(B{step})")["applied"]
+
+            with DatabaseClient(port=port, timeout=30.0) as client:
+                def collect() -> None:
+                    pushed = client.next_frame()  # timeout = a lost frame
+                    seqs.setdefault(pushed["feed"], []).append(pushed["seq"])
+
+                main = client.subscribe("Unemp")["subscription_id"]
+                other = threading.Thread(target=other_committer)
+                other.start()
+                extra = None
+                for step in range(1, rounds + 1):
+                    if step % 2:
+                        assert client.commit(
+                            f"insert La(A{step}), "
+                            f"insert U_benefit(A{step})")["applied"]
+                    else:
+                        assert len(client.query("Unemp(x)")) >= 2000
+                    if step % 20 == 0:  # a second, short-lived subscription
+                        if extra is None:
+                            extra = client.subscribe(
+                                "Unemp")["subscription_id"]
+                        else:
+                            client.unsubscribe(extra)
+                            extra = None
+                    while client.pending_frames:
+                        collect()
+                other.join(timeout=60)
+                assert not other.is_alive()
+                expected = rounds // 2 + rounds  # one frame per commit
+                while len(seqs[main]) < expected:
+                    collect()
+        assert len(seqs) > 1, "the short-lived subscriptions saw nothing"
+        for sub_id, seen in seqs.items():
+            assert seen == list(range(1, len(seen) + 1)), (
+                f"{sub_id}: seq gap or reordering: {seen}")
+
     def test_subscribe_validates_before_streaming(self, tmp_path):
         engine = fresh_engine(tmp_path)
         with ServerThread(engine) as port:
@@ -350,46 +406,50 @@ class TestOverflow:
     def test_overflow_drops_subscriber_with_typed_close(self, tmp_path):
         """Queue past capacity: typed close, engine-side cleanup, reusable
         channel -- and the enqueue path never blocks the committer."""
+        import json
+
         engine = fresh_engine(tmp_path)
         server = server_mod.DatabaseServer(engine, max_inflight=3)
 
-        class StallWriter:
+        class StallConnection:
+            """Stands in for a connection whose peer stopped reading."""
+
             def __init__(self):
                 self.lines: list[bytes] = []
-                self.gate = asyncio.Event()
+                self.gate = threading.Event()
 
-            def write(self, data: bytes) -> None:
+            def send(self, data: bytes) -> None:
                 self.lines.append(data)
+                assert self.gate.wait(timeout=10)
 
-            async def drain(self) -> None:
-                await self.gate.wait()
-
-            def close(self) -> None:
+            def abort(self) -> None:
                 pass
 
-        async def scenario():
-            import json
-
-            writer = StallWriter()
-            channel = server_mod._FeedChannel(server, writer)
+        conn = StallConnection()
+        channel = server_mod._FeedChannel(server, conn)
+        try:
             channel.subscribe(["Unemp"])
             assert channel.capacity == 3
-            # Frame 1 is popped by the drain task and stalls in drain();
+            # Frame 1 is popped by the writer thread and stalls in send();
             # frames 2..4 fill the queue; frame 5 trips the overflow.
             for step in range(5):
-                await asyncio.to_thread(
-                    engine.commit,
-                    parse_transaction(f"insert La(O{step}), "
-                                      f"insert U_benefit(O{step})"))
-                await asyncio.sleep(0.05)  # let the drain task run
+                start = time.monotonic()
+                engine.commit(parse_transaction(
+                    f"insert La(O{step}), insert U_benefit(O{step})"))
+                assert time.monotonic() - start < 5, "committer blocked"
+                if step == 0:  # let the writer take frame 1 off the queue
+                    deadline = time.monotonic() + 10
+                    while not conn.lines and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert conn.lines, "writer thread never ran"
             assert channel.queue_depth() == 0  # cleared on overflow
-            writer.gate.set()  # un-stall the socket
+            conn.gate.set()  # un-stall the socket
             deadline = time.monotonic() + 10
             while channel.subs and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
+                time.sleep(0.02)
             assert not channel.subs, "overflowed subscriber not dropped"
             assert engine.feed.active == 0
-            final = json.loads(writer.lines[-1])
+            final = json.loads(conn.lines[-1])
             assert final["frame"]["kind"] == "closed"
             assert final["frame"]["error_type"] == "feed_overflow"
             # The channel is reusable: the same session may re-subscribe.
@@ -397,12 +457,11 @@ class TestOverflow:
             assert engine.feed.active == 1
             channel.close()
             assert engine.feed.active == 0
-
-        try:
-            asyncio.run(scenario())
             assert engine.metrics.counter("feed.overflow") >= 1
             assert engine.metrics.counter("feed.dropped_subscribers") == 1
         finally:
+            conn.gate.set()
+            channel.close()
             engine.close()
 
 
