@@ -9,26 +9,9 @@ fails, not just slows down.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
-
-#: Before/after evidence for the compiled evaluation engine (ISSUE 8).
-#: Three suites (SYN6 chain, SYN1 scaling, SYN4 downward) each own one
-#: section of the same file, so writes go through a read-modify-write.
-BENCH_EVAL_FILE = Path(__file__).resolve().parent.parent / "BENCH_eval.json"
-
-
-def record_bench_eval(section: str, payload: dict) -> None:
-    """Merge *payload* under *section* into ``BENCH_eval.json``."""
-    data = {}
-    if BENCH_EVAL_FILE.exists():
-        data = json.loads(BENCH_EVAL_FILE.read_text())
-    data[section] = payload
-    BENCH_EVAL_FILE.write_text(json.dumps(data, indent=2, sort_keys=True)
-                               + "\n")
 
 
 @pytest.fixture

@@ -78,9 +78,8 @@ def test_bench_syn4_engine_no_regression(benchmark, measure):
     The downward interpreter's evaluation work is goal solving over a
     materialized old state, so engine choice only affects the one-time
     materialization; this pins that the compiled default costs no more
-    than the interpreter on the SYN4 shapes, into ``BENCH_eval.json``.
+    than the interpreter on the SYN4 shapes.
     """
-    from benchmarks.conftest import record_bench_eval
     from repro.interpretations import DownwardOptions
 
     domain = DOMAIN_SIZES[-1]
@@ -99,12 +98,6 @@ def test_bench_syn4_engine_no_regression(benchmark, measure):
              else float("inf"))
     print(f"\nSYN4c domain={domain}  interpreted={interpreted_time * 1e3:7.2f} ms  "
           f"compiled={compiled_time * 1e3:7.2f} ms  ratio={ratio:4.2f}x")
-    record_bench_eval("syn4_downward_no_regression", {
-        "domain": domain,
-        "interpreted_ms": round(interpreted_time * 1e3, 3),
-        "compiled_ms": round(compiled_time * 1e3, 3),
-        "ratio": round(ratio, 2),
-    })
     # Generous noise floor: the evaluators here run over tiny databases,
     # so "no regression" means "not dramatically slower", not a speedup.
     assert compiled_time <= interpreted_time * 3

@@ -50,11 +50,8 @@ def test_bench_syn6_engine_comparison(benchmark, measure):
 
     Same perfect model, same semi-naive iteration structure; the compiled
     engine batches each rule into a closure chain with hash-join index
-    probes.  Records the before/after into ``BENCH_eval.json``.
+    probes.  Prints the before/after of every length.
     """
-    from benchmarks.conftest import record_bench_eval
-
-    section: dict = {}
     for length in LENGTHS:
         db = _chain(length)
 
@@ -72,19 +69,14 @@ def test_bench_syn6_engine_comparison(benchmark, measure):
                  else float("inf"))
         print(f"\nSYN6 length={length}  interpreted={interpreted_time * 1e3:7.2f} ms  "
               f"compiled={compiled_time * 1e3:7.2f} ms  speedup={ratio:4.1f}x")
-        section[f"length_{length}"] = {
-            "interpreted_ms": round(interpreted_time * 1e3, 3),
-            "compiled_ms": round(compiled_time * 1e3, 3),
-            "speedup": round(ratio, 2),
-        }
 
     db = _chain(LENGTHS[-1])
     benchmark.pedantic(lambda: BottomUpEvaluator(
         db, db.all_rules(), engine="compiled").materialize(),
         rounds=3, iterations=1)
-    record_bench_eval("syn6_chain_transitive_closure", section)
-    # No-regression floor: compiled must not lose to the interpreter.
-    assert section[f"length_{LENGTHS[-1]}"]["speedup"] >= 1.0
+    # No-regression floor (at the longest chain, the last one measured):
+    # compiled must not lose to the interpreter.
+    assert round(ratio, 2) >= 1.0
 
 
 def test_bench_syn6_work_ratio(benchmark):

@@ -11,7 +11,7 @@ whole view -- O(|EDB|) per commit.  In ``counting`` mode the check *is*
 the delta-rule evaluation over per-tuple derivation counts -- O(|delta|)
 per commit after a one-time bootstrap at open.
 
-Acceptance criteria (ISSUE 7), recorded into ``BENCH_ivm.json``:
+Acceptance criteria (ISSUE 7), printed and asserted:
 
 - counting-mode commit latency at the 10^5-fact EDB is >= 5x lower than
   ``cache_mode="invalidate"``;
@@ -22,9 +22,7 @@ Acceptance criteria (ISSUE 7), recorded into ``BENCH_ivm.json``:
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.datalog.database import DeductiveDatabase
 from repro.events.events import Transaction, parse_transaction
@@ -36,8 +34,6 @@ N_BANNED = 20
 DELTA_EVENTS = 8  # 4 inserts + 4 deletes per commit
 ROUNDS_COUNTING = 8
 ROUNDS_INVALIDATE = 3
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_ivm.json"
 
 RULES = """
     V(x) <- E(x, y).
@@ -152,15 +148,6 @@ def test_bench_counting_vs_invalidate(benchmark, tmp_path):
     print(f"IVM speedup counting vs invalidate at {N_SMALL}: {speedup:.1f}x")
     print(f"IVM growth  counting {N_LARGE}/{N_SMALL} (same delta): "
           f"{growth:.2f}x")
-
-    BENCH_FILE.write_text(json.dumps({
-        "benchmark": "counting_ivm_commit_latency",
-        "rules": [line.strip() for line in RULES.strip().splitlines()],
-        "delta_events": DELTA_EVENTS,
-        "results": results,
-        "speedup_counting_vs_invalidate_small": speedup,
-        "growth_counting_large_over_small": growth,
-    }, indent=2) + "\n")
 
     # Acceptance: counting >= 5x faster than invalidate at the same EDB.
     assert speedup >= 5.0, (

@@ -1,13 +1,14 @@
 """Group-commit throughput of the server engine: batch sizes 1 / 8 / 64.
 
-The ``DatabaseEngine`` commit queue batches concurrent transactions into
-one WAL append-and-fsync plus one merged transition-program evaluation
-(integrity check) per batch.  This benchmark drives the same machinery
-deterministically through :meth:`DatabaseEngine.commit_many` on an
-employment-office workload of disjoint hirings, so the amortisation is
-measured without scheduler noise: at batch size 1 every transaction pays
-its own fsync and its own ``ιIc`` evaluation; at 64 those costs are
-shared 64 ways.
+The ``DatabaseEngine`` commit queue lets concurrent transactions share
+one WAL fsync per batch; each member still runs its own integrity check
+(``ιIc`` against the state its predecessor left) and its own append.
+This benchmark drives the same machinery deterministically through
+:meth:`DatabaseEngine.commit_many` on an employment-office workload of
+disjoint hirings, so the amortisation is measured without scheduler
+noise: at batch size 1 every transaction pays its own fsync; at 64 that
+cost is shared 64 ways.  (The 2x floor is host-bound: it needs an fsync
+slow enough to matter next to a ~0.1 ms check.)
 """
 
 import itertools
@@ -22,8 +23,8 @@ _run_ids = itertools.count()
 
 
 def _transactions() -> list[Transaction]:
-    # Disjoint event sets: every pair is conflict-free, so a full batch
-    # group-commits (the optimistic check never defers anyone).
+    # Disjoint event sets, each consistent on its own: every member of
+    # a batch applies.
     return [Transaction([insert("Works", f"N{index}"),
                          insert("La", f"N{index}")])
             for index in range(N_TRANSACTIONS)]

@@ -5,7 +5,7 @@ The same synthetic view as the IVM benchmark:
     V(x)  <- E(x, y).
     Ic1   <- Banned(x) & V(x).
 
-Two claims, recorded into ``BENCH_subs.json``:
+Two claims, printed and asserted:
 
 - **Fan-out is cheap**: with 64 standing subscriptions on ``V``, the
   per-commit latency of a counting-mode engine stays within 1.2x of the
@@ -20,9 +20,7 @@ Two claims, recorded into ``BENCH_subs.json``:
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.datalog.database import DeductiveDatabase
 from repro.events.events import Transaction, parse_transaction
@@ -34,8 +32,6 @@ N_SUBSCRIBERS = 64
 DELTA_EVENTS = 8  # 4 inserts + 4 deletes per commit
 ROUNDS_FAST = 8
 ROUNDS_DIFF = 2
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_subs.json"
 
 RULES = """
     V(x) <- E(x, y).
@@ -157,15 +153,6 @@ def test_bench_feed_fanout_and_sourcing(benchmark, tmp_path):
           f"{fanout_overhead:.3f}x")
     print(f"SUBS counting-sourced vs diff-sourced at {N_EDB}: "
           f"{sourcing_speedup:.1f}x")
-
-    BENCH_FILE.write_text(json.dumps({
-        "benchmark": "subscription_feed_cost",
-        "rules": [line.strip() for line in RULES.strip().splitlines()],
-        "delta_events": DELTA_EVENTS,
-        "results": results,
-        "fanout_overhead_64_subscribers": fanout_overhead,
-        "speedup_counting_vs_diff_sourced": sourcing_speedup,
-    }, indent=2) + "\n")
 
     # Acceptance: feed-enabled commits within 1.2x of feed-less commits.
     assert fanout_overhead <= 1.2, (

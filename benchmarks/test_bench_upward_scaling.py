@@ -56,13 +56,11 @@ def test_bench_syn1_engine_scaling(benchmark, measure):
     The chain-join views make V2 join the *derived* V1 on a bound column
     -- the interpreter full-scans derived extensions there, the compiled
     planner hash-indexes them, so the gap is structural, not constant-
-    factor.  Acceptance bar (ISSUE 8): >= 5x at the largest configuration,
-    recorded into ``BENCH_eval.json``.
+    factor.  Acceptance bar (ISSUE 8): >= 5x at the largest configuration
+    (the last one measured).
     """
-    from benchmarks.conftest import record_bench_eval
     from repro.datalog.evaluation import BottomUpEvaluator
 
-    section: dict = {}
     for n_facts in SIZES:
         db, _ = _workload(n_facts)
 
@@ -82,17 +80,11 @@ def test_bench_syn1_engine_scaling(benchmark, measure):
                    else float("inf"))
         print(f"\nSYN1 n_facts={n_facts:5d}  interpreted={interpreted_time * 1e3:7.2f} ms  "
               f"compiled={compiled_time * 1e3:7.2f} ms  speedup={speedup:5.1f}x")
-        section[f"n_facts_{n_facts}"] = {
-            "interpreted_ms": round(interpreted_time * 1e3, 3),
-            "compiled_ms": round(compiled_time * 1e3, 3),
-            "speedup": round(speedup, 2),
-        }
 
     db, _ = _workload(SIZES[-1])
     benchmark.pedantic(lambda: BottomUpEvaluator(
         db, db.all_rules(), engine="compiled").materialize(),
         rounds=3, iterations=1)
-    record_bench_eval("syn1_materialization_scaling", section)
-    assert section[f"n_facts_{SIZES[-1]}"]["speedup"] >= 5.0, (
+    assert round(speedup, 2) >= 5.0, (
         "compiled engine must be >= 5x the interpreter at the largest "
         "SYN1 configuration")

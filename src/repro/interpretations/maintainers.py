@@ -110,8 +110,8 @@ class StateMaintainer(ABC):
     #: Registry key; subclasses set it to a CacheMode value.
     name: ClassVar[str] = ""
 
-    #: Whether the strategy computes each commit's induced delta on the
-    #: fast path (``check_full``/``interpret`` return an UpwardResult).
+    #: Whether the strategy computes each commit's induced delta as part
+    #: of the commit (``check_full``/``interpret`` return an UpwardResult).
     #: The change feed (docs/SUBSCRIPTIONS.md) emits those deltas for
     #: free; strategies without them force the feed onto a before/after
     #: diff of the watched predicates, which scales with the database.

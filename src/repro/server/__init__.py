@@ -4,8 +4,8 @@ The paper's thesis is a *uniform* update-processing interface; this package
 is that interface made servable:
 
 - :mod:`repro.server.engine` -- :class:`DatabaseEngine`, the thread-safe
-  core: single-writer/multi-reader locking, group commit (one WAL fsync and
-  one integrity check per batch), optimistic conflict deferral;
+  core: single-writer/multi-reader locking, one serial commit step, group
+  commit (one WAL fsync per batch);
 - :mod:`repro.server.protocol` -- the versioned JSON-lines protocol whose
   request types map 1:1 onto the Table 4.1 problems;
 - :mod:`repro.server.server` -- the threaded TCP server, one blocking

@@ -1,10 +1,9 @@
 """A thread-safe serving engine over ``DurableDatabase`` + ``UpdateProcessor``.
 
 :class:`DatabaseEngine` is the concurrency layer the paper's library never
-needed: it serialises writers, lets readers run concurrently, and batches
-pending commits into **group commits** -- one WAL fsync and one
-transition-program integrity check cover a whole batch of non-conflicting
-transactions instead of one each.
+needed: it serialises writers, lets readers run concurrently, and lets
+pending commits share one WAL fsync -- **group commit** -- while each is
+still checked and applied on its own, one after the other.
 
 Concurrency model
 -----------------
@@ -22,47 +21,41 @@ Concurrency model
   what-ifs of the ``advance`` / ``invalidate`` maintainers (answered by
   the processor's memoising upward interpreter), and the one reader that
   finds the maintainer cold and re-materialises it once.
+- *One commit step.*  Every commit -- any policy, any batch member, a 2PC
+  ``decide`` -- is the paper's 5.1.1 for *one* transaction against *one*
+  old state: validate (base-only events, no fact key locked by an
+  in-doubt 2PC vote), integrity-check against the **current** state
+  (``maintain`` then searches for the smallest repair), append to the
+  WAL unsynced, apply, advance the maintained state with the commit's own
+  induced events, and build its change-feed frame.  A failure before the
+  first fact moves is that commit's own error; one after it fails the
+  whole drain.
 - *Group commit.*  ``commit`` enqueues the transaction and the first thread
-  through the batch lock becomes the leader: it drains the queue, packs up
-  to ``max_batch`` transactions with pairwise-disjoint fact sets into one
-  batch, integrity-checks each member and their union against the shared
-  old state, appends them to the WAL, fsyncs once, and only *then* wakes
-  the waiters -- an acknowledged commit is always on disk.  Followers find
-  their entry already committed by the time they acquire the lock.
-- *Optimistic conflict handling.*  Two pending transactions that touch the
-  same fact (overlapping event sets) never share a batch; the later one is
-  deferred to the next batch and re-validated against the new state.
-  Batch members commute (disjoint fact sets) and batches are sequential,
-  so the *applied* history is serializable.  Reject semantics are enforced
-  per member: a member that fails its own integrity check against the
-  batch-start state is rejected with that verdict -- the serial order
-  that runs it first rejects it too, so it is never smuggled in by its
-  batch mates, and never checked twice -- and the others fast-commit when
-  their merged transaction passes as well; if it does not (they
-  interact), or a member asks for another policy, the slow path executes
-  them serially.  (One theoretical gap remains: three or more
-  transactions whose constraint interactions violate at every intermediate
-  prefix but not at the endpoints can fast-commit together although a
-  strictly serial execution would reject one -- see docs/SERVER.md.)
+  through the batch lock becomes the leader: it drains the queue and runs
+  the commit step for up to ``max_batch`` entries, in queue order, under
+  one write lock; then fsyncs once, publishes the frames in order, and
+  only *then* wakes the waiters -- an acknowledged commit is always on
+  disk.  Followers find their entry already committed by the time they
+  acquire the lock.  The applied history is literally serial: a batch
+  decides exactly what the same commits one at a time would, it just
+  pays one fsync for them.
 - *Exactly-once identity.*  A commit stamped with a ``txn_id`` is
   remembered: its outcome is written into the WAL alongside its events and
   kept in a bounded dedup table (:class:`repro.core.durable.TxnDedupTable`)
-  that recovery rebuilds, so a retry -- after a dropped ack, a deferral
+  that recovery rebuilds, so a retry -- after a dropped ack, a commit
   timeout, or a crash between fsync and ack -- returns the original result
   instead of double-applying.  A duplicate arriving while the first
   attempt is still queued joins its wait instead of enqueuing again.
-- *Warm derived state.*  The maintainer keeps the extension of every
-  derived predicate standing.  A fast-path commit computes its integrity
-  check as a *full-coverage* upward interpretation and, after applying the
-  batch, **advances** the maintained extensions with the induced events
-  instead of dropping them (``cache_mode="advance"`` patches the upward
-  interpreter's memoised state, ``"counting"`` folds in derivation
-  counts); readers interleaved with commits therefore keep hitting warm
-  state.  Slow-path commits, unchecked commits, checkpoints and advance
-  failures fall back to a full reset.  Surfaced as ``cache.advance`` /
-  ``cache.invalidate`` / ``cache.rematerialize`` counters and a
-  ``cache_epoch`` in ``stats``; see docs/SERVER.md for the lifecycle
-  table.
+- *Warm derived state.*  The integrity check is a *full-coverage* upward
+  interpretation, so the applied commit **advances** the standing
+  extensions with its induced events instead of dropping them
+  (``cache_mode="advance"`` patches the upward interpreter's memoised
+  state, ``"counting"`` folds in derivation counts) and interleaved
+  readers keep hitting warm state.  Only a commit the maintainer has no
+  interpretation for, a checkpoint and an advance failure reset it.
+  Surfaced as ``cache.advance`` / ``cache.invalidate`` /
+  ``cache.rematerialize`` counters and a ``cache_epoch`` in ``stats``;
+  see docs/SERVER.md for the lifecycle table.
 """
 
 from __future__ import annotations
@@ -72,6 +65,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable
 
 from repro import faults
@@ -79,8 +73,8 @@ from repro.core.durable import DurableDatabase, transaction_digest
 from repro.core.processor import UpdateProcessor
 from repro.datalog.builtins import evaluate_builtin, is_builtin
 from repro.datalog.compile_plan import resolve_engine
-from repro.datalog.database import GLOBAL_IC, answer_rows
-from repro.datalog.errors import DatalogError, SafetyError, TransactionError
+from repro.datalog.database import answer_rows
+from repro.datalog.errors import DatalogError, SafetyError
 from repro.datalog.parser import parse_atom
 from repro.datalog.rules import Atom
 from repro.events.events import Transaction
@@ -108,15 +102,16 @@ logger = logging.getLogger("repro.server.engine")
 
 FP_PRE_BATCH_MERGE = faults.register(
     "engine.pre_batch_merge",
-    "group commit: batch claimed, before its transactions are merged or "
-    "checked (crash loses the whole unacknowledged batch)")
+    "group commit: batch claimed, before any member is checked or applied "
+    "(crash loses the whole unacknowledged batch)")
 FP_POST_CHECK_PRE_ACK = faults.register(
     "engine.post_check_pre_ack",
-    "group commit: integrity checks passed, before anything reaches the "
-    "WAL (crash: checked but never applied, nothing may survive)")
+    "commit step: this member's integrity check passed, before it reaches "
+    "the WAL (crash: checked but never applied; earlier members of the "
+    "batch are appended but unfsynced and unacknowledged)")
 FP_MID_CACHE_ADVANCE = faults.register(
     "engine.mid_cache_advance",
-    "group commit: batch appended (unfsynced), before the derived-state "
+    "commit step: member appended (unfsynced), before the derived-state "
     "caches advance (crash: flushed-but-unacked, may or may not survive)")
 FP_PRE_ACK = faults.register(
     "engine.pre_ack",
@@ -279,10 +274,26 @@ class CommitOutcome:
         return self.applied
 
 
+def _fact_keys(transaction: Transaction) -> frozenset:
+    """The ``(predicate, args)`` keys a transaction's events touch."""
+    return frozenset((e.predicate, e.args) for e in transaction)
+
+
+def _repair(db, transaction: Transaction, policy: str) -> Transaction | None:
+    """What to apply in place of a violating *transaction*: under
+    ``maintain`` its smallest consistency-preserving extension, otherwise
+    (or when the search finds none) ``None`` -- reject."""
+    if policy != "maintain":
+        return None
+    from repro.core.maintenance import maintain_iteratively
+
+    return maintain_iteratively(db, transaction).best()
+
+
 def checked_commit(processor: UpdateProcessor, transaction: Transaction,
                    apply: Callable[[Transaction], object],
                    on_violation: str = "reject") -> CommitOutcome:
-    """The single checked-commit path shared by REPL, engine and server.
+    """The REPL's checked commit: the engine's commit step without an engine.
 
     Integrity-checks *transaction* against *processor*'s database, then
     durably applies it through the *apply* callback (``journal.commit``,
@@ -308,15 +319,10 @@ def checked_commit(processor: UpdateProcessor, transaction: Transaction,
         except StateError:
             check_result = None  # inconsistent old state: nothing to protect
         if check_result is not None and not check_result.ok:
-            if on_violation == "reject":
+            to_apply = _repair(db, transaction, on_violation)
+            if to_apply is None:
                 return CommitOutcome(False, transaction, check=check_result)
-            from repro.core.maintenance import maintain_iteratively
-
-            chosen = maintain_iteratively(db, transaction).best()
-            if chosen is None:
-                return CommitOutcome(False, transaction, check=check_result)
-            repairs = Transaction(chosen.events - transaction.events)
-            to_apply = chosen
+            repairs = Transaction(to_apply.events - transaction.events)
     effective = to_apply.normalized(db)
     apply(to_apply)
     processor.invalidate_state_caches()
@@ -327,7 +333,7 @@ class _Pending:
     """One queued commit awaiting its batch."""
 
     __slots__ = ("transaction", "policy", "done", "outcome", "error",
-                 "txn_id", "digest", "check")
+                 "txn_id", "digest")
 
     def __init__(self, transaction: Transaction, policy: str,
                  txn_id: str | None = None, digest: str | None = None):
@@ -338,12 +344,11 @@ class _Pending:
         self.done = threading.Event()
         self.outcome: CommitOutcome | None = None
         self.error: BaseException | None = None
-        #: This member's own verdict against its batch-start state, once
-        #: the group commit has computed one.
-        self.check: ICCheckResult | None = None
 
-    def fact_keys(self) -> frozenset:
-        return frozenset((e.predicate, e.args) for e in self.transaction)
+    @property
+    def txn(self) -> tuple[str, str] | None:
+        """The ``(txn_id, digest)`` identity the WAL records, if stamped."""
+        return None if self.txn_id is None else (self.txn_id, self.digest)
 
     def finish(self, outcome: CommitOutcome | None = None,
                error: BaseException | None = None) -> None:
@@ -370,14 +375,15 @@ class DatabaseEngine:
         the durable database to serve.
     max_batch:
         group-commit width: at most this many pending transactions share
-        one WAL fsync and one integrity check.
+        one WAL fsync (each is still checked and applied on its own, in
+        queue order).
     on_violation:
         default commit policy (``reject`` / ``maintain`` / ``ignore``);
         individual commits may override it.
     cache_mode:
         the :class:`~repro.interpretations.maintainers.StateMaintainer`
         strategy (a :class:`CacheMode` or its string spelling) for the
-        memoised derived state on a fast-path commit: ``advance``
+        memoised derived state across a commit: ``advance``
         (default) patches it with the commit's own induced events (the
         upward interpretation the integrity check already computes), so
         interleaved readers keep a warm cache; ``invalidate`` always
@@ -386,9 +392,8 @@ class DatabaseEngine:
         hatch; ``counting`` maintains per-tuple derivation counts
         incrementally *during* the commit, so check + maintenance cost
         scales with the transaction instead of the database (see
-        docs/IVM.md; requires a non-recursive program).  Slow-path
-        commits, unchecked commits and checkpoints always reset the
-        maintainer, whatever the mode.
+        docs/IVM.md; requires a non-recursive program).  A checkpoint
+        always resets the maintainer, whatever the mode.
     eval_engine:
         evaluation engine for every bottom-up fixpoint the engine runs
         (integrity checks, upward/downward interpretations, query
@@ -457,9 +462,7 @@ class DatabaseEngine:
         #: Seeded from the store's in-doubt set so recovered votes keep
         #: their fact keys locked until the coordinator resolves them.
         self._prepared: dict[str, _PreparedTxn] = {
-            txn_id: _PreparedTxn(
-                transaction, digest,
-                frozenset((e.predicate, e.args) for e in transaction))
+            txn_id: _PreparedTxn(transaction, digest, _fact_keys(transaction))
             for txn_id, (digest, transaction) in store.in_doubt.items()
         }
         self._closed = False
@@ -539,8 +542,7 @@ class DatabaseEngine:
         membership test when ground, one pass over that predicate's
         extent otherwise.  Warm reads share the read lock and nothing
         else, so they run beside each other; after a maintainer reset
-        (serial batch, checkpoint, unchecked commit, recovery, every
-        commit in ``invalidate`` mode) the first reader re-materialises
+        (checkpoint, recovery, every commit in ``invalidate`` mode) the first reader re-materialises
         the state once under the interpreter mutex and every read until
         the next reset is served from that.
         """
@@ -788,11 +790,10 @@ class DatabaseEngine:
     def _feed_extents(self, predicates) -> dict[str, ExtentView] | None:
         """Live extents of the watched predicates, or None on failure.
 
-        This is the diff-fallback sourcing path (``invalidate`` mode, and
-        any commit whose maintainer produced no delta): it re-materialises
-        through the maintainer's read path, so its cost scales with the
-        database, not the transaction -- exactly why the counting-sourced
-        feed exists (see benchmarks/test_bench_subscriptions.py).  The
+        The diff-fallback sourcing path (``invalidate`` mode, any commit
+        whose maintainer produced no delta): it re-materialises through
+        the maintainer's read path, so it scales with the database, not
+        the transaction (see benchmarks/test_bench_subscriptions.py).  The
         views are not copies; snapshot what must survive the next apply.
         """
         out: dict[str, ExtentView] = {}
@@ -803,61 +804,70 @@ class DatabaseEngine:
                 return None
         return out
 
-    def _feed_publish_delta(self, *, txn_id: str | None, result,
-                            before: dict[str, frozenset] | None) -> None:
-        """Push one frame for an applied commit (never fails the commit).
+    def _feed_frame(self, txn_id: str | None, result,
+                    before: dict[str, frozenset] | None):
+        """The frame of one just-applied commit, as a zero-argument publish
+        call (None when nobody is subscribed).
 
-        Sourcing is maintainer-aware: when *result* (an ``UpwardResult``
-        from the counting/advance fast path) is present its induced events
-        are the frame; otherwise the *before* snapshot taken pre-apply is
-        diffed against a fresh post-apply materialisation.  When neither
-        is available the subscribers get a ``resync`` marker instead of a
-        silently wrong delta.
+        Built right after the apply -- the next batch member moves the
+        extents again -- and run by :meth:`_feed_publish` once the fsync
+        made the commit durable.  Sourcing is maintainer-aware: when
+        *result* (the ``UpwardResult`` the maintainer advanced by) is
+        present its induced events are the frame; otherwise the *before*
+        snapshot taken pre-apply is diffed against a fresh post-apply
+        materialisation.  When neither is available the subscribers get
+        a ``resync`` marker instead of a silently wrong delta.
         """
-        if not self.feed.active:
-            return
-        faults.failpoint(FP_FEED_PUBLISH, txn_id=txn_id)
+        feed = self.feed
+        if not feed.active:
+            return None
         epoch = self._cache_epoch
-        try:
-            if result is not None:
-                covered = getattr(result, "covered", None)
-                if (covered is not None
-                        and not self.feed.watched_predicates() <= covered):
-                    self.feed.publish_resync(epoch=epoch,
-                                             reason="partial-coverage")
-                    return
-                self.feed.publish_delta(txn_id=txn_id, epoch=epoch,
-                                        inserted=result.insertions,
-                                        deleted=result.deletions)
-                return
-            if before is None:
-                self.feed.publish_resync(epoch=epoch,
-                                         reason="uncovered-commit")
-                return
-            after = self._feed_extents(before.keys())
-            if after is None:
-                self.feed.publish_resync(epoch=epoch,
-                                         reason="rematerialise-failed")
-                return
-            self.feed.publish_delta(
-                txn_id=txn_id, epoch=epoch,
-                inserted={p: after[p].difference(before[p]) for p in before},
-                deleted={p: before[p].difference(after[p]) for p in before})
-        except Exception:
-            logger.exception("change-feed publish failed")
+
+        def resync(reason: str):
+            return partial(feed.publish_resync, epoch=epoch, reason=reason)
+
+        def delta(inserted, deleted):
+            return partial(feed.publish_delta, txn_id=txn_id, epoch=epoch,
+                           inserted=inserted, deleted=deleted)
+
+        if result is not None:
+            covered = getattr(result, "covered", None)
+            if (covered is not None
+                    and not feed.watched_predicates() <= covered):
+                return resync("partial-coverage")
+            return delta(result.insertions, result.deletions)
+        if before is None:
+            return resync("uncovered-commit")
+        after = self._feed_extents(before.keys())
+        if after is None:
+            return resync("rematerialise-failed")
+        return delta({p: after[p].difference(before[p]) for p in before},
+                     {p: before[p].difference(after[p]) for p in before})
+
+    def _feed_publish(self, frames) -> None:
+        """Publish durable commits' frames in order (never fails a commit).
+
+        Strictly after the fsync: a frame for a commit a crash could
+        still lose would be a phantom.  A crash here (or inside the
+        failpoint) leaves the commits durable with their frames unsent --
+        subscribers resync, they never see duplicates.
+        """
+        for publish in filter(None, frames):
+            faults.failpoint(FP_FEED_PUBLISH)
+            try:
+                publish()
+            except Exception:
+                logger.exception("change-feed publish failed")
 
     def _feed_before_snapshot(self, result) -> dict[str, frozenset] | None:
         """Pre-apply extents of the watched predicates, when a diff will
         be needed (no maintainer-sourced delta)."""
         if result is not None or not self.feed.active:
             return None
-        predicates = self.feed.watched_predicates()
-        if not predicates:
+        extents = self._feed_extents(self.feed.watched_predicates())
+        if not extents:
             return None
-        extents = self._feed_extents(predicates)
-        if extents is None:
-            return None
-        # The one copy: this snapshot must outlive the apply below.
+        # The one copy: this snapshot must outlive the apply.
         return {p: frozenset(rows) for p, rows in extents.items()}
 
     def _feed_resync(self, reason: str) -> None:
@@ -879,9 +889,11 @@ class DatabaseEngine:
                 "txn_id must be a non-empty string of at most 128 "
                 "non-whitespace characters")
 
-    def _admit(self, transaction: Transaction, policy: str, txn_id: str
+    def _admit(self, transaction: Transaction, policy: str,
+               txn_id: str | None
                ) -> "tuple[_Pending | CommitOutcome, bool]":
-        """Resolve one txn-stamped commit against the dedup/in-flight state.
+        """Enqueue one commit, resolving a stamped one against the
+        dedup/in-flight state first.
 
         Returns ``(slot, fresh)``: the recorded :class:`CommitOutcome` for
         a completed duplicate, the existing :class:`_Pending` for a running
@@ -889,6 +901,9 @@ class DatabaseEngine:
         (``fresh`` is True only then).  Must be called under
         ``_pending_lock``.
         """
+        if txn_id is None:
+            self._pending.append(_Pending(transaction, policy))
+            return self._pending[-1], True
         digest = transaction_digest(transaction)
         record = self._store.txns.get(txn_id)
         if record is not None:
@@ -919,8 +934,8 @@ class DatabaseEngine:
         """Durably commit a transaction; blocks until its batch is synced.
 
         Concurrent callers are batched automatically: whichever thread
-        reaches the batch lock first commits every compatible pending
-        transaction in one group.
+        reaches the batch lock first commits every pending transaction,
+        in queue order, and they share its fsync.
 
         With a *timeout* (seconds), waiting for the batch is bounded:
         expiry raises :class:`ConflictDeferralTimeout`.  An entry still in
@@ -936,22 +951,16 @@ class DatabaseEngine:
         """
         self._ensure_open()
         with self.metrics.time("commit"):
-            policy = on_violation or self._policy
-            joined = False
             if txn_id is not None:
                 self._check_txn_id(txn_id)
-                with self._pending_lock:
-                    admitted, fresh = self._admit(transaction, policy, txn_id)
-                if isinstance(admitted, CommitOutcome):
-                    return admitted
-                entry = admitted
-                # A duplicate joining a running attempt must not withdraw
-                # the entry on its own timeout -- the original owns it.
-                joined = not fresh
-            else:
-                entry = _Pending(transaction, policy)
-                with self._pending_lock:
-                    self._pending.append(entry)
+            with self._pending_lock:
+                entry, fresh = self._admit(
+                    transaction, on_violation or self._policy, txn_id)
+            if isinstance(entry, CommitOutcome):
+                return entry
+            # A duplicate joining a running attempt must not withdraw
+            # the entry on its own timeout -- the original owns it.
+            joined = not fresh
             if timeout is None:
                 with self._batch_lock:
                     if not entry.done.is_set():
@@ -1039,12 +1048,6 @@ class DatabaseEngine:
         with self._pending_lock:
             try:
                 for transaction, txn_id in zip(transactions, ids):
-                    if txn_id is None:
-                        entry = _Pending(transaction, policy)
-                        self._pending.append(entry)
-                        mine.append(entry)
-                        slots.append(entry)
-                        continue
                     slot, is_fresh = self._admit(transaction, policy, txn_id)
                     if is_fresh:
                         mine.append(slot)
@@ -1117,14 +1120,7 @@ class DatabaseEngine:
                 # A past *abort decision* is provisional from the client's
                 # point of view (a transient failure elsewhere aborted the
                 # round, not this shard's own verdict): allow a fresh vote.
-            transaction.check_base_only(self.db)
-            keys = frozenset((e.predicate, e.args) for e in transaction)
-            for other_id, other in self._prepared.items():
-                if not keys.isdisjoint(other.keys):
-                    self.metrics.increment("twopc.conflicts")
-                    raise TxnConflictError(
-                        f"prepare of {txn_id!r} conflicts with in-flight "
-                        f"transaction {other_id!r}; retry after it resolves")
+            keys = self._validate(transaction)
             check: ICCheckResult | None = None
             if self.db.constraints:
                 try:
@@ -1181,28 +1177,16 @@ class DatabaseEngine:
                     f"commit decision for txn {txn_id!r}, but this shard "
                     "holds no prepared vote or recorded outcome for it")
             if decision == "commit":
-                # Stage the induced deltas before the facts move, then let
-                # the maintainer fold them in (counting applies counted
-                # deltas; advance patches warm extensions; invalidate and
-                # any staging failure reset).
-                try:
-                    staged_result = self._maintainer.interpret(
-                        prepared.transaction)
-                except DatalogError:
-                    staged_result = None
-                feed_before = self._feed_before_snapshot(staged_result)
-                effective = self._store.commit(
-                    prepared.transaction, sync=True,
-                    txn=(txn_id, prepared.digest))
+                # The vote was checked at prepare and its keys have been
+                # locked since: apply it like any batch member, durably.
+                effective, frame = self._apply(
+                    prepared.transaction,
+                    self._induced(prepared.transaction),
+                    (txn_id, prepared.digest), sync=True)
                 outcome = CommitOutcome(True, prepared.transaction,
                                         effective).to_dict()
-                if staged_result is not None:
-                    self._maintainer.advance(staged_result)
-                else:
-                    self._maintainer.reset()
                 self.metrics.increment("twopc.committed")
-                self._feed_publish_delta(txn_id=txn_id, result=staged_result,
-                                         before=feed_before)
+                self._feed_publish([frame])
             else:
                 self._store.log_txn_outcome(txn_id, prepared.digest,
                                             applied=False, sync=True,
@@ -1239,41 +1223,22 @@ class DatabaseEngine:
         entry.finish(outcome=outcome, error=error)
 
     def _drain(self) -> None:
-        """Leader loop: drain the pending queue batch by batch."""
+        """Leader loop: drain the pending queue, ``max_batch`` at a time."""
         while True:
             with self._pending_lock:
                 queue, self._pending = self._pending, []
             if not queue:
                 return
-            batch: list[_Pending] = []
             try:
-                while queue:
-                    batch, queue = self._take_batch(queue)
-                    self._commit_batch(batch)
+                for start in range(0, len(queue), self._max_batch):
+                    self._commit_batch(queue[start:start + self._max_batch])
             except BaseException as error:
                 # Storage-level failure: fail every commit this leader owns
                 # rather than leaving waiters blocked forever.
-                for entry in batch + queue:
+                for entry in queue:
                     if not entry.done.is_set():
                         self._finish(entry, error=error)
                 raise
-
-    def _take_batch(self, queue: list[_Pending]
-                    ) -> tuple[list[_Pending], list[_Pending]]:
-        """Pack a prefix of *queue* with pairwise-disjoint fact sets."""
-        batch = [queue[0]]
-        touched = set(queue[0].fact_keys())
-        deferred: list[_Pending] = []
-        for entry in queue[1:]:
-            keys = entry.fact_keys()
-            if len(batch) < self._max_batch and touched.isdisjoint(keys):
-                batch.append(entry)
-                touched |= keys
-            else:
-                if not touched.isdisjoint(keys):
-                    self.metrics.increment("commit.conflicts_deferred")
-                deferred.append(entry)
-        return batch, deferred
 
     def _commit_batch(self, batch: list[_Pending]) -> None:
         self.metrics.increment("commit.batches")
@@ -1284,109 +1249,134 @@ class DatabaseEngine:
                     span.add("batch_size", len(batch))
                     span.add("lock_wait_seconds",
                              time.perf_counter() - lock_start)
-                self._commit_batch_locked(batch, span)
+                self._commit_batch_locked(batch)
 
-    def _commit_batch_locked(self, batch: list[_Pending], span) -> None:
-        db = self.db
-        # Fact keys promised to in-doubt cross-shard transactions: a plain
-        # commit touching one must wait (retryable) until the vote resolves,
-        # or a commit decision could find its rows already changed.
-        locked = frozenset(
-            key for held in self._prepared.values() for key in held.keys)
-        # Per-entry validation: one bad transaction must not sink its
-        # batch mates.
-        valid: list[_Pending] = []
+    def _commit_batch_locked(self, batch: list[_Pending]) -> None:
+        """The commit step for each member in queue order, then one fsync.
+
+        A member that fails before its first fact moves (validation,
+        check, repair search) fails alone; anything raised from its apply
+        onward propagates and :meth:`_drain` fails every unfinished
+        entry.  Nobody is acknowledged before :meth:`_sync_log`: waking a
+        waiter earlier would let the server confirm a commit, or remember
+        a rejection, that a crash could still lose.
+        """
+        faults.failpoint(FP_PRE_BATCH_MERGE, batch_size=len(batch))
+        acks: list[tuple[_Pending, CommitOutcome]] = []
+        frames = []  # one per applied member (None when nobody listens)
+        logged = False
         for entry in batch:
             try:
-                entry.transaction.check_base_only(db)
-            except TransactionError as error:
+                to_apply, result, verdict, repairs = self._check(
+                    entry.transaction, entry.policy)
+            except DatalogError as error:
                 self._finish(entry, error=error)
                 continue
-            if locked and not locked.isdisjoint(entry.fact_keys()):
-                self.metrics.increment("twopc.conflicts")
-                self._finish(entry, error=TxnConflictError(
-                    "commit touches fact keys locked by an in-flight "
-                    "cross-shard transaction; retry after it resolves"))
-                continue
-            valid.append(entry)
-        if not valid:
-            return
-        if self._group_commit(valid):
-            span.set(path="group")
-            return
-        span.set(path="serial")
-        # Slow path: a non-reject policy somewhere in the batch, or
-        # members that pass alone but not together -- process
-        # sequentially through the shared checked path, still paying one
-        # fsync for the whole batch.  A member the group commit already
-        # rejected against the batch-start state keeps that verdict (the
-        # serial order that runs it first agrees) and is not checked
-        # again.  Entries whose events (or txn outcome markers) reached
-        # the log are acknowledged only after sync_log(): waking a waiter
-        # before the fsync would let the server confirm a commit -- or
-        # remember a rejection -- a crash could still lose.  If sync_log
-        # raises, _drain fails every unfinished entry.
-        to_ack: list[tuple[_Pending, CommitOutcome]] = []
-        applied_any = False
-        for entry in valid:
-            if entry.check is not None and not entry.check.ok:
-                outcome = self._rejection(entry)
+            if to_apply is None:
+                # The maintainer's verdict is the reply.  A stamped one
+                # leaves a marker, so a post-crash retry replays it
+                # instead of re-checking against a moved state.
+                self.metrics.increment("commit.rejected_fast")
+                outcome = CommitOutcome(False, entry.transaction,
+                                        check=verdict)
+                if entry.txn_id is not None:
+                    self._store.log_txn_outcome(entry.txn_id, entry.digest,
+                                                applied=False)
+                    logged = True
             else:
-                try:
-                    outcome = checked_commit(
-                        self._processor, entry.transaction,
-                        lambda t, e=entry: self._store.commit(
-                            t, sync=False,
-                            txn=((e.txn_id, e.digest)
-                                 if e.txn_id is not None else None)),
-                        on_violation=entry.policy)
-                except DatalogError as error:
-                    self._finish(entry, error=error)
-                    continue
-            applied_any = applied_any or outcome.applied
-            if (outcome.applied and outcome.check is None
-                    and entry.policy != "ignore" and db.constraints):
-                # checked_commit skipped the check (inconsistent old state).
-                self._note_unchecked(1)
-            if outcome.applied:
-                if outcome.effective.events or entry.txn_id is not None:
-                    to_ack.append((entry, outcome))
-                else:
-                    self._finish(entry, outcome=outcome)
-            elif entry.txn_id is not None:
-                self._log_rejection(entry)
-                to_ack.append((entry, outcome))
-            else:
-                self._finish(entry, outcome=outcome)
-        if applied_any:
-            # checked_commit invalidated the interpreter caches per entry;
-            # stateful maintainers (counting) must drop their standing
-            # state too, since facts moved without delta maintenance.
-            self._maintainer.reset()
-            # The feed has no per-commit deltas for a serial batch; tell
-            # subscribers to re-pull rather than guess.
-            self._feed_resync("slow-path")
-        if to_ack:
+                faults.failpoint(FP_POST_CHECK_PRE_ACK)
+                effective, frame = self._apply(to_apply, result, entry.txn)
+                outcome = CommitOutcome(True, entry.transaction, effective,
+                                        verdict, repairs)
+                frames.append(frame)
+                # A stamped commit logs its identity line even when its
+                # effective event set is empty.
+                logged = (logged or bool(effective.events)
+                          or entry.txn_id is not None)
+            acks.append((entry, outcome))
+        if logged:
             self._sync_log()
+        self._feed_publish(frames)
+        if acks:
             faults.failpoint(FP_PRE_ACK)
-        for entry, outcome in to_ack:
+        for entry, outcome in acks:
             self._finish(entry, outcome=outcome)
+        if frames:
+            self.metrics.increment("commit.group_committed", len(frames))
 
-    def _rejection(self, entry: _Pending) -> CommitOutcome:
-        """The outcome of a member its own batch-start verdict rejected:
-        the maintainer's verdict is the reply, nothing is checked twice."""
-        self.metrics.increment("commit.rejected_fast")
-        return CommitOutcome(False, entry.transaction, check=entry.check)
+    def _check(self, transaction: Transaction, policy: str):
+        """Everything that can refuse a commit, before any fact moves.
 
-    def _log_rejection(self, entry: _Pending) -> None:
-        """Write a stamped rejection's outcome marker (unsynced).
-
-        A rejection never reaches the log through commit(); the marker
-        lets a post-crash retry replay the verdict instead of
-        re-checking against a moved state.
+        Validation, then the integrity check against the *current* state;
+        ``maintain`` extends a violating transaction with its smallest
+        repair.  Returns ``(to_apply, result, verdict, repairs)``:
+        ``to_apply`` is None for a rejection, ``result`` the full-coverage
+        upward interpretation of ``to_apply`` for :meth:`_apply` (None
+        when the maintainer has none).
         """
-        self._store.log_txn_outcome(entry.txn_id, entry.digest,
-                                    applied=False)
+        db = self.db
+        self._validate(transaction)
+        to_apply = transaction
+        verdict = result = repairs = None
+        if policy != "ignore" and db.constraints:
+            try:
+                verdict, result = self._maintainer.check_full(transaction)
+            except StateError:
+                # Inconsistent old state: commit unchecked (the paper's
+                # methods need a consistent Do), but say so loudly.
+                self._note_unchecked()
+            if verdict is not None and not verdict.ok:
+                to_apply = _repair(db, transaction, policy)
+                if to_apply is None:
+                    return None, None, verdict, None
+                repairs = Transaction(to_apply.events - transaction.events)
+                result = None
+        if result is None:
+            result = self._induced(to_apply)
+        return to_apply, result, verdict, repairs
+
+    def _validate(self, transaction: Transaction) -> frozenset:
+        """Refuse derived events and fact keys promised to an in-doubt 2PC
+        vote (a commit decision must find its rows unchanged; retryable --
+        the lock clears when the vote resolves).  Returns the keys."""
+        transaction.check_base_only(self.db)
+        keys = _fact_keys(transaction)
+        for other_id, other in self._prepared.items():
+            if not keys.isdisjoint(other.keys):
+                self.metrics.increment("twopc.conflicts")
+                raise TxnConflictError(
+                    "transaction touches fact keys locked by in-flight "
+                    f"cross-shard transaction {other_id!r}; retry after it "
+                    "resolves")
+        return keys
+
+    def _induced(self, transaction: Transaction):
+        """Full-coverage induced events of a commit no check computed them
+        for, or None when the maintainer has nothing warm to advance."""
+        try:
+            return self._maintainer.interpret(transaction)
+        except DatalogError:
+            return None
+
+    def _apply(self, transaction: Transaction, result,
+               txn: tuple[str, str] | None, *, sync: bool = False):
+        """Move the facts of one checked commit: ``(effective, frame)``.
+
+        WAL append, in-memory apply, then the maintained state follows --
+        advanced by *result*, the upward interpretation of *transaction*
+        over the state it is applied to, or reset when there is none --
+        so facts and derived state agree even if the fsync later fails.
+        From here on a failure is not this commit's alone: facts moved.
+        """
+        before = self._feed_before_snapshot(result)
+        effective = self._store.commit(transaction, sync=sync, txn=txn)
+        if result is not None:
+            faults.failpoint(FP_MID_CACHE_ADVANCE)
+            self._maintainer.advance(result)
+        else:
+            self._maintainer.reset()
+        return effective, self._feed_frame(txn[0] if txn else None,
+                                           result, before)
 
     def _sync_log(self) -> None:
         """One WAL fsync, traced and counted."""
@@ -1394,141 +1384,18 @@ class DatabaseEngine:
             self._store.sync_log()
         self.metrics.increment("commit.wal_syncs")
 
-    def _group_commit(self, batch: list[_Pending]) -> bool:
-        """Fast path: shared-state checks, one fsync.  False -> slow path.
-
-        Reject semantics are enforced per member: every transaction is
-        checked on its *own* against the batch-start state, and one that
-        fails is rejected with that verdict there and then -- a
-        transaction each serial order would reject cannot hide behind its
-        batch mates, and the maintainer's verdict is the reply (outcome
-        marker, shared fsync, ack after the sync; no second check).  The
-        members that pass must also pass merged (so the post-batch state
-        is consistent); when they do not, they interact and the serial
-        path decides between them.  All checks hit the same old state --
-        that, plus the single fsync, is the amortisation group commit
-        pays for.
-
-        Derived-state maintenance is delegated to the configured
-        :class:`StateMaintainer`: in ``advance`` mode the merged check
-        runs with *full* predicate coverage and after the batch is
-        applied its induced events patch the upward interpreter's
-        memoised extensions in place
-        (:meth:`UpdateProcessor.advance_state_caches`); in ``counting``
-        mode the check itself *is* the delta-rule evaluation, and the
-        derivation-count changes it carries are folded in after the
-        batch is applied -- the view maintenance the paper reads out of
-        the event rules, applied to our own serving state.  Unchecked
-        commits (inconsistent old state) and any advance failure fall
-        back to a full maintainer reset.
-        """
-        db = self.db
-        if any(entry.policy != "reject" for entry in batch):
-            return False
-        faults.failpoint(FP_PRE_BATCH_MERGE, batch_size=len(batch))
-        maintainer = self._maintainer
-        checked = bool(db.constraints)
-        if checked and maintainer.extension(GLOBAL_IC):
-            # Inconsistent old state: commit unchecked (the paper's
-            # methods need a consistent Do), but say so loudly.
-            checked = False
-            self._note_unchecked(len(batch))
-        rejected: list[_Pending] = []
-        if checked and len(batch) > 1:
-            for entry in batch:
-                entry.check = maintainer.check(entry.transaction)
-            rejected = [entry for entry in batch if not entry.check.ok]
-            batch = [entry for entry in batch if entry.check.ok]
-        try:
-            merged = Transaction(
-                event for entry in batch for event in entry.transaction)
-        except TransactionError:
-            # Contradictory events across entries (insert vs delete of the
-            # same fact) -- cannot happen for disjoint batches, but keep the
-            # fast path honest.
-            return False
-        advance_result = None
-        if checked and batch:
-            merged_verdict, advance_result = maintainer.check_full(merged)
-            if len(batch) == 1:
-                batch[0].check = merged_verdict
-            if not merged_verdict.ok:
-                if len(batch) > 1:
-                    return False  # they pass alone, not together
-                rejected, batch, advance_result = rejected + batch, [], None
-        elif not db.constraints:
-            # No constraints, so no check ran -- a maintainer with warm
-            # state still computes the batch's induced events so its
-            # caches keep moving instead of resetting.
-            try:
-                advance_result = maintainer.interpret(merged)
-            except DatalogError:
-                advance_result = None
-        faults.failpoint(FP_POST_CHECK_PRE_ACK, batch_size=len(batch))
-        # Diff-fallback feed sourcing needs the pre-apply extents (the
-        # maintainer produced no delta -- invalidate mode, unchecked
-        # commits, cold caches); snapshot before any fact moves.
-        feed_before = (self._feed_before_snapshot(advance_result)
-                       if batch else None)
-        outcomes: list[tuple[_Pending, CommitOutcome]] = []
-        synced = False
-        for entry in batch:
-            effective = self._store.commit(
-                entry.transaction, sync=False,
-                txn=((entry.txn_id, entry.digest)
-                     if entry.txn_id is not None else None))
-            # A txn-stamped commit writes its identity line even when the
-            # effective event set is empty -- that line must be fsynced
-            # before the ack, like any other.
-            synced = synced or bool(effective.events) \
-                or entry.txn_id is not None
-            outcomes.append((entry, CommitOutcome(
-                True, entry.transaction, effective, entry.check)))
-        for entry in rejected:
-            if entry.txn_id is not None:
-                self._log_rejection(entry)
-                synced = True
-            outcomes.append((entry, self._rejection(entry)))
-        # State maintenance before the fsync: it depends only on the
-        # in-memory state, and doing it here keeps maintained state and
-        # database consistent even when sync_log fails below.
-        if advance_result is not None:
-            faults.failpoint(FP_MID_CACHE_ADVANCE)
-            maintainer.advance(advance_result)
-        elif batch:
-            maintainer.reset()
-        if synced:
-            self._sync_log()
-        # Publish strictly after the fsync: a frame for a commit a crash
-        # could still lose would be a phantom.  A crash here (or inside
-        # the publish failpoint) leaves the commit durable with its frame
-        # unsent -- subscribers resync, they never see duplicates.
-        if batch:
-            self._feed_publish_delta(
-                txn_id=(batch[0].txn_id if len(batch) == 1 else None),
-                result=advance_result, before=feed_before)
-        faults.failpoint(FP_PRE_ACK)
-        # Acknowledge strictly after the fsync: a waiter woken earlier
-        # could see a successful commit a crash then loses.  If sync_log
-        # raised above, _drain fails every unfinished entry instead.
-        for entry, outcome in outcomes:
-            self._finish(entry, outcome=outcome)
-        if batch:
-            self.metrics.increment("commit.group_committed", len(batch))
-        return True
-
-    def _note_unchecked(self, n_transactions: int) -> None:
-        """Count and log transactions committed without an integrity check."""
-        self.metrics.increment("commit.unchecked", n_transactions)
+    def _note_unchecked(self) -> None:
+        """Count and log a transaction committed without an integrity check."""
+        self.metrics.increment("commit.unchecked")
         try:
             violated = ", ".join(sorted(
                 self._processor.inconsistency_witnesses())) or "unknown"
         except DatalogError:
             violated = "unknown"
         logger.warning(
-            "committing %d transaction(s) UNCHECKED: the current state "
-            "already violates constraint(s) %s; integrity checking "
-            "requires a consistent old state", n_transactions, violated)
+            "committing a transaction UNCHECKED: the current state already "
+            "violates constraint(s) %s; integrity checking requires a "
+            "consistent old state", violated)
 
     # -- maintenance -----------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Standing-query subscriptions: the change-feed bus behind ``subscribe``.
 
 Every commit already computes the induced deltas of the derived predicates
-(upward interpretation on the slow path, counting/advance maintainers on
-the fast path).  This module turns those deltas into a push feed: a
-:class:`FeedBus` holds the registered standing queries and, when the
-engine publishes a commit's delta, fans a per-subscription *frame* out to
-each subscriber whose goals the delta touches.
+(the integrity check's own upward interpretation, or the counting
+maintainer's delta rules).  This module turns those deltas into a push
+feed: a :class:`FeedBus` holds the registered standing queries and, when
+the engine publishes a commit's delta, fans a per-subscription *frame*
+out to each subscriber whose goals the delta touches.
 
 Design constraints, in order of importance:
 
@@ -19,7 +19,8 @@ Design constraints, in order of importance:
   ``{txn_id, epoch, inserted, deleted}`` with rows in the same sorted-list
   wire shape as every other result type (:func:`repro.serde.rows_to_lists`).
   A ``resync`` frame tells the subscriber the server lost delta coverage
-  (slow-path commit, checkpoint, cache reset) and it must re-pull.  A
+  (checkpoint, a commit the maintainer could not interpret) and it must
+  re-pull.  A
   ``closed`` frame is the last thing an overflowing subscriber sees.
 - **Filters reuse the bound-goal shape of the routing layer.**  A goal is
   either a bare derived predicate name (``"Unemp"``) or an atom with

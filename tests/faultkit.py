@@ -112,7 +112,7 @@ def run_workload(engine: DatabaseEngine, *, steps: int = 20,
     *current* state (seeded deterministically from *seed* and the step
     number) and commits them -- through :meth:`DatabaseEngine.commit` when
     ``batch == 1``, through :meth:`DatabaseEngine.commit_many` otherwise,
-    which exercises the group-commit fast path.  ``checkpoint_every``
+    which exercises group commit.  ``checkpoint_every``
     interleaves checkpoints, putting the checkpoint failpoints in reach.
 
     The armed failpoint schedule decides where (and whether) the crash
@@ -120,9 +120,10 @@ def run_workload(engine: DatabaseEngine, *, steps: int = 20,
     """
     report = CrashReport(initial=base_facts(engine.db))
     for step in range(steps):
-        # Pairwise-disjoint fact sets, so a chunk is one group-commit
-        # batch (conflict deferral would reorder it across batches and
-        # muddy the in-flight accounting).
+        # Pairwise-disjoint fact sets: the chunk is one group-commit
+        # batch either way (members run in queue order), but disjoint
+        # members commute, which keeps ``allowed_facts`` -- any
+        # subsequence of the in-flight ones may have survived -- exact.
         transactions: list[Transaction] = []
         touched: set = set()
         bump = 0

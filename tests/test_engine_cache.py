@@ -118,13 +118,17 @@ class TestCacheModes:
         assert engine.stats()["engine"]["cache_epoch"] >= 1
 
     def test_slow_path_invalidates(self, engine):
-        """Non-reject policies take the serial path, which invalidates."""
+        """There is no slow path: a non-reject policy runs the same commit
+        step, so its commit advances the warm cache like any other."""
         engine.check(parse_transaction("insert Works(Maria)"))
-        engine.commit(parse_transaction("insert La(Pere)"),
-                      on_violation="maintain")
+        outcome = engine.commit(parse_transaction("insert La(Pere)"),
+                                on_violation="maintain")
+        assert outcome.applied and outcome.repairs
         counters = engine.stats()["counters"]
-        assert counters.get("cache.invalidate", 0) >= 1
-        assert "cache.advance" not in counters
+        assert counters.get("cache.invalidate", 0) == 0
+        assert counters["cache.advance"] == 1
+        assert engine._processor._upward.old_extension("Unemp") == \
+            fresh_extension(engine.db, "Unemp")
 
 
 @pytest.fixture
@@ -194,23 +198,30 @@ class TestReadsServedFromMaintainedState:
 
     @pytest.mark.parametrize("mode", ["advance", "invalidate", "counting"])
     def test_resets_are_rewarmed_once(self, tmp_path, mode):
-        """Slow-path batch and checkpoint reset the maintainer; the next
-        read warms it and the reads after that are warm again."""
+        """A checkpoint resets the maintainer; the next read warms it and
+        the reads after that are warm again.  A ``maintain`` commit is no
+        reset: it advances like any other commit."""
         engine = DatabaseEngine.open(
             tmp_path / "d", initial=employment_database(30, seed=3),
             cache_mode=mode)
         try:
             engine.query("Unemp(x)")
             base = engine.metrics.counter("query.warmups")
-            engine.commit(parse_transaction("insert La(Zoe)"),
-                          on_violation="maintain")  # serial path
-            for goal in self.GOALS:
-                assert engine.query(goal) == engine.db.query(goal)
-            assert engine.metrics.counter("query.warmups") == base + 1
             engine.checkpoint()
             for goal in self.GOALS:
                 assert engine.query(goal) == engine.db.query(goal)
-            assert engine.metrics.counter("query.warmups") == base + 2
+            assert engine.metrics.counter("query.warmups") == base + 1
+            assert engine.commit(parse_transaction("insert La(Zoe)"),
+                                 on_violation="maintain").repairs
+            for goal in self.GOALS:
+                assert engine.query(goal) == engine.db.query(goal)
+            # Only ``invalidate`` forgets across a commit.
+            base += 2 if mode == "invalidate" else 1
+            assert engine.metrics.counter("query.warmups") == base
+            engine.checkpoint()
+            for goal in self.GOALS:
+                assert engine.query(goal) == engine.db.query(goal)
+            assert engine.metrics.counter("query.warmups") == base + 1
         finally:
             engine.close(checkpoint=False)
 
@@ -358,10 +369,11 @@ class TestConcurrentReaders:
         ``upward(insert Works(q))`` seen on a half-applied hire would
         report ``δUnemp(q)``, ``downward(ins Unemp(q))`` "already
         satisfied", which no committed state gives.  The writer mixes
-        plain hires, batches with a rejected member (rejected on the
-        fast path: no reset), serial-path commits and ``checkpoint()``
-        (both reset the maintainer), and each reset must be re-warmed
-        exactly once, whoever gets there first, not once per reader.
+        plain hires, batches with a rejected member, ``maintain``-policy
+        commits (the same commit step: none of these resets) and
+        ``checkpoint()`` (which does reset the maintainer), and each
+        reset must be re-warmed exactly once, whoever gets there first,
+        not once per reader.
         """
         initial = employment_database(20, seed=11)
         engine = DatabaseEngine.open(
@@ -462,10 +474,11 @@ class TestConcurrentReaders:
                     resets += 1
                     let_every_thread_in()
                 elif i % 4 == 2:
-                    # Any other policy takes the serial path, which
-                    # moves facts without delta maintenance: a reset.
+                    # Any other policy is the same commit step and
+                    # advances too; the checkpoint is the reset.
                     assert engine.commit(hire_of(hire),
                                          on_violation="maintain").applied
+                    engine.checkpoint()
                     resets += 1
                     let_every_thread_in()
                 else:

@@ -156,15 +156,18 @@ class TestGroupCommit:
             engine.close(checkpoint=False)
 
     def test_conflicting_commits_defer_and_serialize(self, big_engine):
-        # Same fact in both transactions: they must not share a batch, and
-        # the result must equal the serial order insert-then-delete.
+        # Same fact in both transactions: members run in queue order, so
+        # the result must equal the serial order insert-then-delete --
+        # and sharing the fact costs them no second batch.
         outcomes = big_engine.commit_many([
             parse_transaction("insert Works(Zed)"),
             parse_transaction("delete Works(Zed)"),
         ])
         assert all(o.applied for o in outcomes)
-        assert big_engine.metrics.counter("commit.batches") == 2
-        assert big_engine.metrics.counter("commit.conflicts_deferred") == 1
+        assert [str(o.effective) for o in outcomes] == [
+            str(parse_transaction("insert Works(Zed)")),
+            str(parse_transaction("delete Works(Zed)"))]
+        assert big_engine.metrics.counter("commit.wal_syncs") == 1
         assert not big_engine.db.has_fact("Works", "Zed")
         assert big_engine.store.log_length() == 2
 
@@ -214,6 +217,64 @@ class TestGroupCommit:
             assert not engine.db.has_fact("Q", "A")
         finally:
             engine.close(checkpoint=False)
+
+    #: Batches whose members interact through the constraints: source,
+    #: transactions in queue order, which of them a serial history applies.
+    INTERLOCKING = {
+        # "Exactly two of P, Q, R" is forbidden: each insert passes alone
+        # and all three pass together, but every serial order stops at
+        # one (a merged-batch check would wrongly commit all three).
+        "exactly-two-forbidden": ("""
+            Ic1(x) <- P(x) & Q(x) & not R(x).
+            Ic2(x) <- P(x) & R(x) & not Q(x).
+            Ic3(x) <- Q(x) & R(x) & not P(x).
+            """, ["insert P(A)", "insert Q(A)", "insert R(A)"],
+            [True, False, False]),
+        # P(x) requires Q(x) and vice versa: each alone violates.
+        "each-alone-violates": ("""
+            Ic1(x) <- P(x) & not Q(x).
+            Ic2(x) <- Q(x) & not P(x).
+            """, ["insert P(A)", "insert Q(A)"], [False, False]),
+        # The second violates alone, but is queued behind its repair.
+        "in-order-dependency": ("""
+            Ic1(x) <- P(x) & not Q(x).
+            """, ["insert Q(A)", "insert P(A)", "insert P(B)"],
+            [True, True, False]),
+    }
+
+    @pytest.mark.parametrize("cache_mode",
+                             ["advance", "invalidate", "counting"])
+    @pytest.mark.parametrize("case", sorted(INTERLOCKING))
+    def test_batch_decides_what_serial_commits_decide(self, tmp_path, case,
+                                                      cache_mode):
+        """One batch at ``max_batch=8`` == the same commits one at a time."""
+        from repro.datalog import DeductiveDatabase, parse_rule
+        from tests import faultkit
+
+        constraints, requests, applied = self.INTERLOCKING[case]
+        runs = []
+        for max_batch in (8, 1):
+            db = DeductiveDatabase()
+            for predicate in "PQR":
+                db.declare_base(predicate, 1)
+            for line in constraints.strip().splitlines():
+                db.add_constraint(parse_rule(line.strip()))
+            engine = DatabaseEngine.open(
+                tmp_path / f"{case}-{max_batch}", initial=db,
+                max_batch=max_batch, cache_mode=cache_mode)
+            try:
+                outcomes = engine.commit_many(
+                    [parse_transaction(text) for text in requests],
+                    raise_errors=False)
+                assert engine.metrics.counter("commit.batches") == (
+                    1 if max_batch == 8 else len(requests))
+                runs.append(([o.to_dict() for o in outcomes],
+                             faultkit.base_facts(engine.db)))
+            finally:
+                engine.close(checkpoint=False)
+        batched, serial = runs
+        assert batched == serial
+        assert [o["applied"] for o in batched[0]] == applied
 
     def test_group_commit_outcomes_carry_individual_verdicts(self, big_engine):
         outcomes = big_engine.commit_many([

@@ -85,22 +85,63 @@ class TestDifferentialOracle:
 
     @pytest.mark.parametrize("cache_mode", CACHE_MODES)
     def test_resync_paths(self, tmp_path, cache_mode):
-        """Slow-path and checkpoint commits surface as typed resyncs."""
+        """A checkpoint surfaces as a typed resync; a ``maintain`` commit
+        does not -- it is the same commit step and publishes the delta of
+        the transaction *as repaired*."""
         engine = fresh_engine(tmp_path, cache_mode=cache_mode)
         try:
             oracle = faultkit.SubscriptionOracle(engine)
-            # A non-reject policy always takes the slow commit path, so
-            # subscribers get a resync marker, never a quietly wrong delta.
-            assert engine.commit(grow("Zed"),
-                                 on_violation="maintain").applied
-            oracle.drain()
-            assert oracle.resyncs >= 1
+            outcome = engine.commit(Transaction([insert("La", "Zed")]),
+                                    on_violation="maintain", txn_id="m-1")
+            assert outcome.applied and outcome.repairs
+            (frame,) = oracle.frames
+            assert frame["kind"] == "delta" and frame["txn_id"] == "m-1"
             oracle.check()
-            engine.checkpoint()  # maintainer reset: coverage lost again
-            before = oracle.resyncs
+            assert (oracle.deltas, oracle.resyncs) == (1, 0)
+            engine.checkpoint()  # maintainer reset: coverage lost
             oracle.drain()
-            assert oracle.resyncs > before
+            assert oracle.resyncs == 1
             oracle.check()
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("cache_mode", CACHE_MODES)
+    def test_batch_members_publish_their_own_frames(self, tmp_path,
+                                                    monkeypatch, cache_mode):
+        """One group commit of N stamped commits: N ``delta`` frames in
+        commit order, each under its own ``txn_id``, none before the one
+        fsync they share."""
+        engine = fresh_engine(tmp_path, cache_mode=cache_mode, max_batch=8)
+        try:
+            oracle = faultkit.SubscriptionOracle(engine, {"Unemp": 1})
+            frames_at_sync: list[int] = []
+            sync_log = engine.store.sync_log
+            monkeypatch.setattr(engine.store, "sync_log", lambda: (
+                frames_at_sync.append(len(oracle.frames)), sync_log()))
+            people = [f"N{i}" for i in range(5)]
+            outcomes = engine.commit_many(
+                [grow(person) for person in people],
+                txn_ids=[f"t-{person}" for person in people])
+            assert all(o.applied for o in outcomes)
+            assert frames_at_sync == [0]
+            assert engine.metrics.counter("commit.wal_syncs") == 1
+            assert [(f["kind"], f["txn_id"], f["inserted"])
+                    for f in oracle.frames] == [
+                ("delta", f"t-{person}", {"Unemp": [[person]]})
+                for person in people]
+            oracle.check()
+            # A member queued behind its own repair passes in that order
+            # (alone it would violate Ic1) and the feed says so.
+            outcomes = engine.commit_many(
+                [parse_transaction("insert U_benefit(Dep)"),
+                 parse_transaction("insert La(Dep)")],
+                txn_ids=["dep-1", "dep-2"])
+            assert [o.applied for o in outcomes] == [True, True]
+            assert [(f["txn_id"], f["inserted"]) for f in oracle.frames] \
+                == [("dep-2", {"Unemp": [["Dep"]]})]
+            oracle.check()
+            assert (oracle.deltas, oracle.resyncs) == (len(people) + 1, 0)
+            assert engine.metrics.counter("commit.wal_syncs") == 2
         finally:
             engine.close()
 
