@@ -12,12 +12,16 @@ Two permanent costs are bounded here:
   transaction.  The batch-64 sweep is run stamped and unstamped,
   best-of-N each, and the stamped path must stay within 5% (plus a tiny
   absolute allowance for sub-millisecond noise).
+
+A third test bounds a cost that grows with the log: recovery replays the
+WAL in one pass, so four times the lines cost at most six times as long.
 """
 
 import itertools
 import time
 
 from repro import faults
+from repro.core.durable import DurableDatabase
 from repro.events.events import Transaction, insert
 from repro.server import DatabaseEngine
 from repro.workloads import employment_database
@@ -123,3 +127,39 @@ def test_bench_idempotency_overhead(benchmark, tmp_path):
         f"batch-64 commit path ({plain * 1e3:.2f} ms -> "
         f"{stamped * 1e3:.2f} ms); the per-commit spend must stay one "
         "digest, one bounded-dict insert and one WAL header")
+
+
+def _replay_seconds(tmp_path, lines: int, repeat: int = 3) -> float:
+    """Best-of time to re-open a store whose WAL holds *lines* stamped
+    commits (written straight to the file: only the replay is timed)."""
+    directory = tmp_path / f"replay{lines}"
+    DurableDatabase.open(directory,
+                         initial=employment_database(20, seed=5)).close()
+    (directory / "events.log").write_text("".join(
+        f"#txn bench-{index} {index:016x} applied :: "
+        f"insert La(N{index}), insert Works(N{index})\n"
+        for index in range(lines)))
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        store = DurableDatabase.open(directory)
+        best = min(best, time.perf_counter() - start)
+        assert store.log_length() == lines
+        store.close()
+    return best
+
+
+def test_bench_replay_is_linear_in_the_log(tmp_path):
+    """Recovery reads the WAL in one pass: four times the lines may cost
+    at most six times as long (the per-line tail scan it replaced: 13x)."""
+    small, large = 8_000, 32_000
+    t_small = _replay_seconds(tmp_path, small)
+    t_large = _replay_seconds(tmp_path, large)
+    print(f"\nREPLAY {small} lines {t_small * 1e3:8.1f} ms "
+          f"({t_small / small * 1e6:5.1f} us/line), "
+          f"{large} lines {t_large * 1e3:8.1f} ms "
+          f"({t_large / large * 1e6:5.1f} us/line), "
+          f"ratio {t_large / t_small:.2f}x")
+    assert t_large <= 6 * t_small, (
+        f"replaying {large} lines costs {t_large / t_small:.1f}x "
+        f"replaying {small}; recovery must stay one pass over the log")

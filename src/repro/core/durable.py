@@ -18,6 +18,13 @@ acknowledged commit survives a crash.  The group-commit path of
 appending a whole batch with ``sync=False`` and calling :meth:`sync_log`
 once.
 
+Both logs of the system -- ``events.log`` here, ``decisions.log`` of
+:class:`repro.shard.coordinator.DecisionLog` -- are an :class:`AppendLog`:
+one ``O_APPEND`` descriptor opened with the log and kept until its owner's
+``close()``, so a record is one ``os.write`` and a sync one ``os.fsync``.
+Whenever the file is rewritten (checkpoint truncation, torn-tail repair)
+it is replaced atomically and the descriptor re-opened on the new file.
+
 Exactly-once identity
 ---------------------
 A commit stamped with a ``txn_id`` writes a *self-identifying* WAL line::
@@ -58,6 +65,7 @@ import json
 import logging
 import os
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -192,6 +200,12 @@ def _render_events(transaction: Transaction) -> str:
         for e in transaction))
 
 
+def _txn_line(txn_id: str, digest: str, status: str, body: str = "") -> str:
+    """A self-identifying WAL line (no newline; see the module docstring)."""
+    return (f"{TXN_LINE_PREFIX}{txn_id} {digest} {status}"
+            f"{TXN_SEPARATOR}{body}").rstrip()
+
+
 def _fsync_file(handle) -> None:
     handle.flush()
     os.fsync(handle.fileno())
@@ -206,12 +220,75 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+class AppendLog:
+    """An append-only UTF-8 text log written through one kept descriptor.
+
+    The file is opened ``O_WRONLY | O_APPEND | O_CREAT`` once, so an append
+    is one ``os.write`` and a sync one ``os.fsync`` -- nothing is re-opened
+    per record.  The owner (:class:`DurableDatabase` for ``events.log``,
+    :class:`repro.shard.coordinator.DecisionLog` for ``decisions.log``)
+    serialises access and calls :meth:`close`; a ``weakref.finalize``
+    closes the descriptor of a log that is abandoned instead (a test, a
+    simulated crash).
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._open()
+
+    def _open(self) -> None:
+        self._fd = os.open(self.path,
+                           os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        self._closer = weakref.finalize(self, os.close, self._fd)
+
+    def close(self) -> None:
+        """Close the descriptor (idempotent); later appends raise."""
+        self._closer()
+        self._fd = -1
+
+    def read(self) -> str:
+        return self.path.read_text(encoding="utf-8")
+
+    def append(self, text: str) -> None:
+        """Write *text* (whole newline-terminated lines; the torn-write
+        failpoint passes a strict prefix) at the end of the file."""
+        view = memoryview(text.encode("utf-8"))
+        while view:  # one write, unless the kernel took only part of it
+            view = view[os.write(self._fd, view):]
+
+    def sync(self) -> None:
+        os.fsync(self._fd)
+
+    def replace(self, lines: list[str]) -> None:
+        """Atomically make *lines* the whole log, then re-open on it.
+
+        Temp file + fsync + rename + directory fsync: a crash at any point
+        leaves the old log or the new one, never a truncated mix.  The kept
+        descriptor still names the old, now unlinked file, so it is closed
+        and a fresh one opened on the new file before anything is appended.
+        """
+        temporary = self.path.with_suffix(".tmp")
+        with temporary.open("w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+            _fsync_file(fh)
+        os.replace(temporary, self.path)
+        _fsync_directory(self.path.parent)
+        self.close()
+        self._open()
+
+
 class DurableDatabase:
     """A deductive database persisted under a directory.
 
     Open (or create) with :meth:`open`; route all fact updates through
     :meth:`commit`.  Rule changes require :meth:`checkpoint` (they rewrite
     the snapshot).
+
+    The store holds one descriptor on ``events.log`` from construction to
+    :meth:`close` (:meth:`repro.server.engine.DatabaseEngine.close` calls
+    it); a store that is dropped without it -- a test, a simulated crash
+    -- gives the descriptor back when it is collected.  Callers serialise
+    writes (the engine's write lock).
     """
 
     def __init__(self, db: DeductiveDatabase, directory: Path,
@@ -219,7 +296,10 @@ class DurableDatabase:
                  in_doubt: dict[str, tuple[str, Transaction]] | None = None):
         self._db = db
         self._directory = directory
-        self._log_path = directory / LOG_NAME
+        self._log = AppendLog(directory / LOG_NAME)
+        #: Commit records in the log, counted as they are appended and
+        #: replayed so that :meth:`log_length` never reads the file.
+        self._log_length = 0
         #: Remembered commit outcomes by ``txn_id`` (the dedup table).
         self.txns = txns if txns is not None else TxnDedupTable()
         #: Unresolved 2PC votes: ``txn_id -> (digest, requested events)``.
@@ -248,9 +328,7 @@ class DurableDatabase:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         snapshot_path = directory / SNAPSHOT_NAME
-        log_path = directory / LOG_NAME
         txns = TxnDedupTable(dedup_capacity)
-        in_doubt: dict[str, tuple[str, Transaction]] = {}
         if snapshot_path.exists():
             if initial is not None:
                 raise TransactionError(
@@ -259,13 +337,13 @@ class DurableDatabase:
                 )
             db = DeductiveDatabase.from_source(snapshot_path.read_text())
             cls._load_txn_sidecar(directory, txns)
-            if log_path.exists():
-                in_doubt = cls._replay_log(db, log_path, txns)
-        else:
-            db = initial.copy() if initial is not None else DeductiveDatabase()
-            snapshot_path.write_text(str(db) + "\n")
-            log_path.write_text("")
-        return cls(db, directory, txns, in_doubt)
+            store = cls(db, directory, txns)
+            store._replay_log()
+            return store
+        db = initial.copy() if initial is not None else DeductiveDatabase()
+        snapshot_path.write_text(str(db) + "\n")
+        (directory / LOG_NAME).write_text("")
+        return cls(db, directory, txns)
 
     @staticmethod
     def _load_txn_sidecar(directory: Path, txns: TxnDedupTable) -> None:
@@ -286,24 +364,23 @@ class DurableDatabase:
         for txn_id, digest, outcome in entries:
             txns.put(txn_id, digest, outcome)
 
-    @staticmethod
-    def _replay_log(db: DeductiveDatabase, log_path: Path,
-                    txns: TxnDedupTable | None = None
-                    ) -> dict[str, tuple[str, Transaction]]:
-        raw = log_path.read_text()
-        lines = raw.splitlines()
+    def _replay_log(self) -> None:
+        """Apply the log to the snapshot state, in one pass over its lines;
+        fills :attr:`txns` and :attr:`in_doubt` and counts the commits."""
+        db, in_doubt = self._db, self.in_doubt
+        raw = self._log.read()
+        lines = [line.strip() for line in raw.splitlines()]
         # Appends always end with a newline, so a file that does not is
         # missing the tail of its final write: treat that line as torn even
         # if the fragment happens to parse.
         torn_tail = bool(raw) and not raw.endswith("\n")
+        last = max((i for i, text in enumerate(lines) if text), default=-1)
         good: list[str] = []
-        in_doubt: dict[str, tuple[str, Transaction]] = {}
         torn = False
-        for index, line in enumerate(lines):
-            text = line.strip()
+        for index, text in enumerate(lines):
             if not text:
                 continue
-            is_last = not any(l.strip() for l in lines[index + 1:])
+            is_last = index == last
             if is_last and torn_tail:
                 torn = True
                 break
@@ -330,7 +407,7 @@ class DurableDatabase:
                         db.add_fact(event.predicate, *event.args)
                     else:
                         db.remove_fact(event.predicate, *event.args)
-            if header is not None and txns is not None:
+            if header is not None:
                 txn_id, digest, _ = header
                 in_doubt.pop(txn_id, None)
                 outcome = {
@@ -341,20 +418,14 @@ class DurableDatabase:
                 }
                 if status == "aborted":
                     outcome["aborted"] = True
-                txns.put(txn_id, digest, outcome)
+                self.txns.put(txn_id, digest, outcome)
+            self._log_length += bool(body)
             good.append(text)
         if torn:
-            # Rewrite atomically (temp file + fsync + rename, the same
-            # pattern as checkpoint): truncating the log in place would
-            # open a window where a second crash loses the whole durable
-            # prefix this method exists to recover.
-            temporary = log_path.with_suffix(".tmp")
-            with temporary.open("w") as log:
-                log.write("".join(line + "\n" for line in good))
-                _fsync_file(log)
-            os.replace(temporary, log_path)
-            _fsync_directory(log_path.parent)
-        return in_doubt
+            # Atomically, not in place: truncating would open a window
+            # where a second crash loses the whole durable prefix this
+            # method exists to recover.
+            self._log.replace(good)
 
     @property
     def db(self) -> DeductiveDatabase:
@@ -393,20 +464,9 @@ class DurableDatabase:
         if effective.events or txn is not None:
             rendered = _render_events(effective)
             if txn is not None:
-                txn_id, digest = txn
-                rendered = (f"{TXN_LINE_PREFIX}{txn_id} {digest} applied"
-                            f"{TXN_SEPARATOR}{rendered}".rstrip())
-            payload = rendered + "\n"
-            with self._log_path.open("a") as log:
-                action = faults.failpoint(FP_WAL_MID_APPEND, payload=rendered)
-                if action is not None and action.kind == "torn":
-                    self._torn_append(log, payload, action)
-                log.write(payload)
-                if sync:
-                    faults.failpoint(FP_WAL_PRE_FSYNC)
-                    _fsync_file(log)
-                else:
-                    log.flush()
+                rendered = _txn_line(*txn, "applied", rendered)
+            self._append(rendered, sync)
+            self._log_length += bool(effective.events)
         for event in effective:
             if event.is_insertion:
                 self._db.add_fact(event.predicate, *event.args)
@@ -416,20 +476,25 @@ class DurableDatabase:
             self.in_doubt.pop(txn[0], None)
         return effective
 
-    @staticmethod
-    def _torn_append(log, payload: str, action: faults.FaultAction) -> None:
-        """Write a strict prefix of *payload*, then die (a torn write).
+    def _append(self, line: str, sync: bool) -> None:
+        """Append one WAL line -- the only way one is written.
 
-        ``action.param`` is the fraction of the line that reaches the file
-        (default one half); the newline never makes it, which is exactly
-        the signature :meth:`_replay_log` recovers from.
+        A ``torn`` action on ``wal.mid_append`` writes a strict prefix of
+        the line and dies: ``action.param`` is the fraction that reaches
+        the file (default one half); the newline never makes it, which is
+        exactly the signature :meth:`_replay_log` recovers from.
         """
-        fraction = action.param if action.param is not None else 0.5
-        cut = max(0, min(int(len(payload) * fraction), len(payload) - 1))
-        log.write(payload[:cut])
-        log.flush()
-        raise faults.SimulatedCrash(
-            f"torn WAL append: {cut} of {len(payload)} bytes written")
+        payload = line + "\n"
+        action = faults.failpoint(FP_WAL_MID_APPEND, payload=line)
+        if action is not None and action.kind == "torn":
+            fraction = action.param if action.param is not None else 0.5
+            cut = max(0, min(int(len(payload) * fraction), len(payload) - 1))
+            self._log.append(payload[:cut])
+            raise faults.SimulatedCrash(
+                f"torn WAL append: {cut} of {len(payload)} bytes written")
+        self._log.append(payload)
+        if sync:
+            self.sync_log()
 
     def log_prepare(self, txn_id: str, digest: str,
                     transaction: Transaction, sync: bool = True) -> None:
@@ -440,9 +505,8 @@ class DurableDatabase:
         replay never applies them -- see the module docstring.  The vote is
         registered in :attr:`in_doubt` until a decision resolves it.
         """
-        rendered = (f"{TXN_LINE_PREFIX}{txn_id} {digest} prepared"
-                    f"{TXN_SEPARATOR}{_render_events(transaction)}".rstrip())
-        self._append_line(rendered + "\n", sync=sync)
+        self._append(_txn_line(txn_id, digest, "prepared",
+                               _render_events(transaction)), sync)
         self.in_doubt[txn_id] = (digest, transaction)
 
     def log_txn_outcome(self, txn_id: str, digest: str,
@@ -461,31 +525,18 @@ class DurableDatabase:
             status = "applied" if applied else "rejected"
         if status not in TXN_STATUSES:
             raise ValueError(f"unknown txn status: {status!r}")
-        payload = f"{TXN_LINE_PREFIX}{txn_id} {digest} {status}" \
-                  f"{TXN_SEPARATOR}".rstrip() + "\n"
-        self._append_line(payload, sync=sync)
+        self._append(_txn_line(txn_id, digest, status), sync)
         if status != "prepared":
             self.in_doubt.pop(txn_id, None)
 
-    def _append_line(self, payload: str, sync: bool) -> None:
-        """Append one WAL line through the shared failpoint choreography."""
-        with self._log_path.open("a") as log:
-            action = faults.failpoint(FP_WAL_MID_APPEND,
-                                      payload=payload.rstrip("\n"))
-            if action is not None and action.kind == "torn":
-                self._torn_append(log, payload, action)
-            log.write(payload)
-            if sync:
-                faults.failpoint(FP_WAL_PRE_FSYNC)
-                _fsync_file(log)
-            else:
-                log.flush()
-
     def sync_log(self) -> None:
         """fsync the event log; makes prior ``sync=False`` commits durable."""
-        with self._log_path.open("a") as log:
-            faults.failpoint(FP_WAL_PRE_FSYNC)
-            os.fsync(log.fileno())
+        faults.failpoint(FP_WAL_PRE_FSYNC)
+        self._log.sync()
+
+    def close(self) -> None:
+        """Close the log descriptor; the store accepts no further writes."""
+        self._log.close()
 
     def _write_txn_sidecar(self) -> None:
         """Persist the dedup table atomically (temp + fsync + rename)."""
@@ -502,9 +553,10 @@ class DurableDatabase:
         """Fold the event log into a fresh snapshot and truncate the log.
 
         The new snapshot is synced before it replaces the old one and the
-        truncated log before the method returns, so a crash at any point
-        leaves either the old snapshot + full log or the new snapshot +
-        empty log.  The txn dedup table is written to its sidecar *first*:
+        fresh log atomically replaces the full one (:meth:`AppendLog.replace`),
+        so a crash at any point leaves either the old snapshot + full log,
+        the new snapshot + full log or the new snapshot + fresh log.  The
+        txn dedup table is written to its sidecar *first*:
         truncating the log destroys the ``#txn`` records it holds, so the
         sidecar must already carry them -- a crash before the truncate
         merely leaves both, and sidecar-then-log replay is idempotent.
@@ -518,35 +570,20 @@ class DurableDatabase:
         faults.failpoint(FP_CHECKPOINT_PRE_RENAME)
         temporary.replace(snapshot_path)
         faults.failpoint(FP_CHECKPOINT_PRE_TRUNCATE)
-        with self._log_path.open("w") as log:
-            # The snapshot only holds *applied* state; unresolved 2PC votes
-            # must outlive the truncation, so their prepared lines are the
-            # one thing the fresh log starts with.
-            for txn_id, (digest, transaction) in self.in_doubt.items():
-                log.write(f"{TXN_LINE_PREFIX}{txn_id} {digest} prepared"
-                          f"{TXN_SEPARATOR}"
-                          f"{_render_events(transaction)}".rstrip() + "\n")
-            _fsync_file(log)
-        _fsync_directory(self._directory)
+        # The snapshot only holds *applied* state; unresolved 2PC votes
+        # must outlive the truncation, so their prepared lines are the one
+        # thing the fresh log starts with.
+        self._log.replace([
+            _txn_line(txn_id, digest, "prepared", _render_events(transaction))
+            for txn_id, (digest, transaction) in self.in_doubt.items()])
+        self._log_length = 0
 
     def log_length(self) -> int:
         """Number of committed transactions since the last checkpoint.
 
         Marker-only txn lines (rejections, acked no-ops) carry no events
         and are not counted; neither are ``prepared`` votes, which are not
-        commits until a decision lands.
+        commits until a decision lands.  Counted as lines are appended
+        and replayed, never read back from the file.
         """
-        if not self._log_path.exists():
-            return 0
-        count = 0
-        for line in self._log_path.read_text().splitlines():
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                header, body = parse_log_line(text)
-            except ParseError:
-                continue  # a torn tail fragment; replay drops it too
-            if body and (header is None or header[2] != "prepared"):
-                count += 1
-        return count
+        return self._log_length

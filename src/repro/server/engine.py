@@ -238,18 +238,26 @@ class CommitOutcome:
     check: ICCheckResult | None = None
     #: Repair events added by the ``maintain`` policy.
     repairs: Transaction | None = None
+    _wire: dict | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def to_dict(self) -> dict:
-        """A JSON-ready representation (the ``commit`` wire shape)."""
-        payload: dict = {
-            "applied": self.applied,
-            "effective": self.effective.to_dict(),
-        }
-        if self.check is not None:
-            payload["check"] = self.check.to_dict()
-        if self.repairs is not None:
-            payload["repairs"] = self.repairs.to_dict()
-        return payload
+        """A JSON-ready representation (the ``commit`` wire shape).
+
+        Built once per outcome: the dedup record and the reply are the same
+        dict, so treat it as read-only (replies are only serialised).
+        """
+        if self._wire is None:
+            payload: dict = {
+                "applied": self.applied,
+                "effective": self.effective.to_dict(),
+            }
+            if self.check is not None:
+                payload["check"] = self.check.to_dict()
+            if self.repairs is not None:
+                payload["repairs"] = self.repairs.to_dict()
+            self._wire = payload  # published whole: waiters may share it
+        return self._wire
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CommitOutcome":
@@ -1410,10 +1418,12 @@ class DatabaseEngine:
             self._feed_resync("checkpoint")
 
     def close(self, checkpoint: bool = True) -> None:
-        """Refuse further requests; optionally checkpoint the WAL."""
+        """Refuse further requests; optionally checkpoint the WAL; close
+        the store's log descriptor."""
         if self._closed:
             return
         with self._rwlock.write():
             self._closed = True
             if checkpoint:
                 self._store.checkpoint()
+            self._store.close()

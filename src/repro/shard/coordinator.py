@@ -33,13 +33,13 @@ and decisions actually reached are final.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro import faults
+from repro.core.durable import AppendLog
 from repro.datalog.errors import DatalogError
 from repro.events.events import Transaction
 from repro.obs import tracer as obs
@@ -67,25 +67,36 @@ class DecisionLog:
     the winner, so two racing coordinators for the same ``txn_id``
     converge.  A torn final line (crash mid-append) is dropped on load:
     an unrecorded decision is simply no decision.
+
+    The file is held open through one
+    :class:`~repro.core.durable.AppendLog` descriptor from construction
+    (which creates the file and its directory) until :meth:`close`, which
+    the owning group or router calls; recording is one write and one fsync.
     """
 
     def __init__(self, path: Path):
-        self._path = Path(path)
         self._lock = threading.Lock()
         self._decisions: dict[str, str] = {}
-        if self._path.exists():
-            raw = self._path.read_text()
-            lines = raw.splitlines()
-            if raw and not raw.endswith("\n") and lines:
-                lines = lines[:-1]  # torn tail: the append never finished
-            for line in lines:
-                parts = line.split()
-                if len(parts) == 2 and parts[1] in ("commit", "abort"):
-                    self._decisions.setdefault(parts[0], parts[1])
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self._log = AppendLog(path)
+        raw = self._log.read()
+        lines = raw.splitlines()
+        if raw and not raw.endswith("\n"):
+            lines = lines[:-1]  # torn tail: the append never finished
+            self._log.replace(lines)  # or the next record would join it
+        for line in lines:
+            parts = line.split()
+            if len(parts) == 2 and parts[1] in ("commit", "abort"):
+                self._decisions.setdefault(parts[0], parts[1])
 
     @property
     def path(self) -> Path:
-        return self._path
+        return self._log.path
+
+    def close(self) -> None:
+        with self._lock:
+            self._log.close()
 
     def decision(self, txn_id: str) -> str | None:
         with self._lock:
@@ -99,11 +110,8 @@ class DecisionLog:
             existing = self._decisions.get(txn_id)
             if existing is not None:
                 return existing
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            with self._path.open("a") as log:
-                log.write(f"{txn_id} {decision}\n")
-                log.flush()
-                os.fsync(log.fileno())
+            self._log.append(f"{txn_id} {decision}\n")
+            self._log.sync()
             self._decisions[txn_id] = decision
             return decision
 

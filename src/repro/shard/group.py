@@ -183,6 +183,7 @@ class EngineGroup:
             for engine in self._engines:
                 engine.close(checkpoint=checkpoint)
         finally:
+            self._coordinator.decisions.close()
             self._pool.shutdown(wait=True)
 
     def checkpoint(self) -> None:

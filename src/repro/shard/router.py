@@ -250,6 +250,7 @@ class ShardRouter:
             for client in self._clients:
                 client.close()
         finally:
+            self._coordinator.decisions.close()
             self._pool.shutdown(wait=True)
 
     def checkpoint(self) -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import sys
 import threading
 import time
 
@@ -44,6 +47,42 @@ def _no_leaked_server_threads():
         if time.monotonic() >= deadline:
             pytest.fail(f"server threads outlived the test: {leaked}")
         time.sleep(0.01)
+
+
+def _open_log_descriptors() -> int:
+    """How many of this process's descriptors name a WAL or decision log."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the descriptor of the listing itself, now closed
+            continue
+        # An unlinked file (a checkpointed-away log) reads "... (deleted)".
+        count += target.removesuffix(" (deleted)").endswith(
+            ("events.log", "decisions.log"))
+    return count
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_log_descriptors():
+    """Every store a test opens gives its log descriptor back.
+
+    ``close()`` does it for a store shut down properly and the log's
+    ``weakref.finalize`` for one a test (or a simulated crash) abandons,
+    so after a collection the count is back where it was.  Every fixture
+    in ``tests/`` is function-scoped, which makes per-test exact.
+    """
+    if not sys.platform.startswith("linux"):
+        yield
+        return
+    before = _open_log_descriptors()
+    yield
+    if _open_log_descriptors() > before:
+        gc.collect()  # abandoned stores caught in a reference cycle
+    leaked = _open_log_descriptors() - before
+    if leaked > 0:
+        pytest.fail(f"{leaked} events.log / decisions.log descriptor(s) "
+                    "outlived the test")
 
 
 @pytest.fixture

@@ -163,6 +163,60 @@ def test_torn_wal_append_is_dropped_on_recovery(tmp_path, fraction):
         recovered.close()
 
 
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 0.99])
+def test_torn_append_through_the_kept_descriptor(tmp_path, fraction):
+    """The torn write leaves exactly the prefix; a second store opened
+    while the dead one still holds its descriptor recovers and appends."""
+    directory = tmp_path / "db"
+    store = durable.DurableDatabase.open(
+        directory, initial=employment_database(n_people=5, seed=7))
+    store.commit(parse_transaction("insert Works(Kept)"))
+    log = directory / durable.LOG_NAME
+    before = log.read_bytes()
+    faults.arm(durable.FP_WAL_MID_APPEND, "torn", param=fraction, times=1)
+    with pytest.raises(faults.SimulatedCrash):
+        store.commit(parse_transaction("insert Works(Torn)"),
+                     txn=("t-torn", "0123456789abcdef"))
+    line = b"#txn t-torn 0123456789abcdef applied :: insert Works(Torn)\n"
+    cut = min(int(len(line) * fraction), len(line) - 1)
+    assert log.read_bytes() == before + line[:cut]
+    # ``store`` is dead but not collected: its descriptor is still open.
+    recovered = durable.DurableDatabase.open(directory)
+    assert log.read_bytes() == before
+    assert recovered.db.has_fact("Works", "Kept")
+    assert not recovered.db.has_fact("Works", "Torn")
+    assert recovered.txns.get("t-torn") is None
+    recovered.commit(parse_transaction("insert Works(After)"))
+    assert log.read_bytes() == before + b"insert Works(After)\n"
+    assert durable.DurableDatabase.open(directory).log_length() == 2
+
+
+def test_failing_fsync_fails_every_waiter_of_the_drain(tmp_path, monkeypatch):
+    """``os.fsync`` itself failing (not a patched ``sync_log``): nobody in
+    the drain is acknowledged, everybody gets the error."""
+    import os
+
+    from repro.server.engine import _Pending
+
+    engine = fresh_engine(tmp_path, max_batch=2)
+    entries = [_Pending(parse_transaction(f"insert Works(New{i})"), "reject")
+               for i in range(3)]           # two batches, one drain
+
+    def broken(fd):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "fsync", broken)
+    with engine._pending_lock:
+        engine._pending.extend(entries)
+    with pytest.raises(OSError):
+        with engine._batch_lock:
+            engine._drain()
+    monkeypatch.undo()
+    assert all(e.done.is_set() and e.outcome is None
+               and isinstance(e.error, OSError) for e in entries)
+    engine.close(checkpoint=False)
+
+
 def test_torn_append_then_more_commits(tmp_path):
     """Recovery after a torn write leaves a fully usable database."""
     engine = fresh_engine(tmp_path)
