@@ -56,6 +56,13 @@ Concurrency model
   Surfaced as ``cache.advance`` / ``cache.invalidate`` /
   ``cache.rematerialize`` counters and a ``cache_epoch`` in ``stats``;
   see docs/SERVER.md for the lifecycle table.
+- *One answer per state.*  A constant-free goal (``Unemp(x)``) is
+  answered once per state: ``query`` keeps the answer beside the
+  ``RWLock.writes`` count it was built at and serves it while the count
+  stands.  Sound because every mutation of served state -- the commit
+  step, 2PC ``prepare`` / ``decide``, ``checkpoint``, ``close``, and so
+  every maintainer ``advance`` / ``reset`` -- runs under the write lock,
+  whose writer bumps the count as it enters; no write site invalidates.
 """
 
 from __future__ import annotations
@@ -77,6 +84,7 @@ from repro.datalog.database import answer_rows
 from repro.datalog.errors import DatalogError, SafetyError
 from repro.datalog.parser import parse_atom
 from repro.datalog.rules import Atom
+from repro.datalog.terms import Variable
 from repro.events.events import Transaction
 from repro.interpretations.counting import ExtentView
 from repro.interpretations.downward import DownwardOptions
@@ -191,6 +199,8 @@ class RWLock:
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
+        #: Writers admitted so far; it cannot move under the read lock.
+        self.writes = 0
 
     @contextmanager
     def read(self):
@@ -214,6 +224,7 @@ class RWLock:
                 self._writers_ok.wait()
             self._writers_waiting -= 1
             self._writer = True
+            self.writes += 1
         try:
             yield
         finally:
@@ -450,6 +461,8 @@ class DatabaseEngine:
                 "ivm.delta_rules",
                 self._maintainer.counting_engine().n_delta_rules)
         self._rwlock = RWLock()
+        #: ``(RWLock.writes, {memo key: answers})`` -- see ``query``.
+        self._memo: tuple[int, dict] = (0, {})
         #: Serialises the readers that search or memoise (``downward``,
         #: ``repair``, the processor-backed what-ifs) and the one that
         #: warms a cold maintainer.  Always taken *inside* the read lock,
@@ -553,17 +566,43 @@ class DatabaseEngine:
         (checkpoint, recovery, every commit in ``invalidate`` mode) the first reader re-materialises
         the state once under the interpreter mutex and every read until
         the next reset is served from that.
+
+        A goal with no constant over a known predicate is answered once
+        per state: the answer is memoised until the next writer enters,
+        and each hit (``query.memo_hits``) returns a fresh list of it.
         """
         self._ensure_open()
         with self.metrics.time("query"), obs.span("engine.query") as span:
             target = parse_atom(goal)
             with self._rwlock.read():
-                path, rows = self._goal_rows(target)
-                answers = answer_rows(target, rows)
+                now, (writes, memo) = self._rwlock.writes, self._memo
+                key = self._memo_key(target)
+                stored = memo.get(key) if writes == now else None
+                if stored is not None:
+                    path, answers = "memo", list(stored)
+                    self.metrics.increment("query.memo_hits")
+                else:
+                    path, rows = self._goal_rows(target)
+                    answers = answer_rows(target, rows)
+                    if key is not None:
+                        if writes != now:  # keep this state's answers only
+                            memo = {}
+                            self._memo = (now, memo)
+                        memo[key] = tuple(answers)
             if obs.enabled():
                 span.set(path=path)
                 span.add("answers", len(answers))
             return answers
+
+    def _memo_key(self, target: Atom) -> tuple | None:
+        """The memo key of a constant-free goal on a known predicate:
+        ``(predicate, repeat-shape)``, so ``P(x, x)`` is not ``P(x, y)``."""
+        args = target.args
+        if (not args or not all(isinstance(a, Variable) for a in args)
+                or is_builtin(target.predicate)
+                or not self.db.check_goal(target)):
+            return None
+        return target.predicate, tuple(map(args.index, args))
 
     def _goal_rows(self, target: Atom) -> tuple[str, Iterable[tuple]]:
         """Candidate rows for a query goal and the path that found them.

@@ -512,3 +512,217 @@ class TestConcurrentReaders:
             sys.setswitchinterval(switch_interval)
             stop.set()
             engine.close(checkpoint=False)
+
+
+class TestMemoisedScans:
+    """A constant-free read is answered once per state: the memo lives
+    until the next writer enters, whatever that writer does."""
+
+    #: ``Unemp(y)`` is the renamed-variable twin of ``Unemp(x)``.
+    GOALS = ("Unemp(x)", "Works(x)", "Ic1(x)", "Unemp(y)")
+    MODES = ["advance", "invalidate", "counting"]
+
+    @classmethod
+    def _read_twice(cls, engine) -> None:
+        """Every goal twice, each the oracle's; only the twin and the
+        second round hit, so the state's first scans all missed."""
+        oracle = engine.db.copy()
+        hits = engine.metrics.counter("query.memo_hits")
+        for _ in range(2):
+            for goal in cls.GOALS:
+                assert engine.query(goal) == oracle.query(goal), goal
+        assert engine.metrics.counter("query.memo_hits") == \
+            hits + len(cls.GOALS) + 1
+
+    @staticmethod
+    def _applied(engine, tmp_path):
+        assert engine.commit(parse_transaction(
+            "insert La(N1), insert U_benefit(N1)")).applied
+        return engine
+
+    @staticmethod
+    def _rejected(engine, tmp_path):
+        assert not engine.commit(parse_transaction("insert La(N2)")).applied
+        return engine
+
+    @staticmethod
+    def _maintained(engine, tmp_path):
+        assert engine.commit(parse_transaction("insert La(N3)"),
+                             on_violation="maintain").repairs
+        return engine
+
+    @staticmethod
+    def _ignored(engine, tmp_path):
+        # Leaves Ic1(N4) true: the memoised empty Ic1(x) must not survive.
+        assert engine.commit(parse_transaction("insert La(N4)"),
+                             on_violation="ignore").applied
+        return engine
+
+    @classmethod
+    def _prepared_then(cls, engine, decision: str):
+        transaction = parse_transaction("insert La(N5), insert U_benefit(N5)")
+        assert engine.prepare(transaction, "t5") == \
+            {"vote": "commit", "prepared": True}
+        cls._read_twice(engine)
+        assert engine.decide("t5", decision)["resolved"]
+        return engine
+
+    @classmethod
+    def _prepare_commit(cls, engine, tmp_path):
+        return cls._prepared_then(engine, "commit")
+
+    @classmethod
+    def _prepare_abort(cls, engine, tmp_path):
+        return cls._prepared_then(engine, "abort")
+
+    @staticmethod
+    def _checkpoint(engine, tmp_path):
+        engine.checkpoint()
+        return engine
+
+    @staticmethod
+    def _reopen(engine, tmp_path):
+        assert engine.commit(parse_transaction(
+            "insert La(N6), insert U_benefit(N6)")).applied
+        engine.close(checkpoint=False)  # the reopen replays the WAL
+        return DatabaseEngine.open(tmp_path / "d",
+                                   cache_mode=engine.cache_mode)
+
+    WRITES = ["applied", "rejected", "maintained", "ignored",
+              "prepare_commit", "prepare_abort", "checkpoint", "reopen"]
+
+    @pytest.mark.parametrize("write", WRITES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_write_makes_the_next_scan_fresh(self, tmp_path, mode, write):
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=employment_database(30, seed=3),
+            cache_mode=mode)
+        try:
+            self._read_twice(engine)
+            engine = getattr(self, f"_{write}")(engine, tmp_path)
+            self._read_twice(engine)
+        finally:
+            engine.close(checkpoint=False)
+
+    def test_a_caller_mutating_its_reply_changes_nothing(self, engine):
+        expected = engine.db.query("Unemp(x)")
+        for _ in range(3):  # a miss, then hits
+            reply = engine.query("Unemp(x)")
+            assert reply == expected
+            reply.clear()
+            reply.append(("Intruder",))
+
+    def test_bound_and_unknown_goals_stay_out_of_the_memo(self, engine):
+        ground = [f"{predicate}(P{i})" for i in range(250)
+                  for predicate in ("Unemp", "Works", "La", "U_benefit")]
+        assert len(set(ground)) == 1000
+        for goal in ground + ["Nope(x)", "Nope(x, y)", "Nope(x, x)", "Ic1"]:
+            assert engine.query(goal) == []
+        assert engine._memo[1] == {}
+        assert engine.metrics.counter("query.memo_hits") == 0
+
+    def test_only_the_current_state_is_kept(self, engine):
+        engine.query("Unemp(x)")
+        engine.query("Works(x)")
+        assert len(engine._memo[1]) == 2
+        assert engine.commit(parse_transaction("insert Works(Maria)")).applied
+        assert engine.query("Unemp(x)") == [("Dolors",)]
+        assert len(engine._memo[1]) == 1
+
+    def test_repeated_variables_get_their_own_entry(self, tmp_path):
+        db = DeductiveDatabase.from_source("""
+            E(A, A). E(A, B). E(B, B). E(C, A). E(C, C). F(C).
+            P(x, y) <- E(x, y) & not F(x).
+        """)
+        engine = DatabaseEngine.open(tmp_path / "d", initial=db)
+        try:
+            goals = ["P(x, x)", "P(x, y)", "P(y, y)", "P(u, v)", "P(y, x)"]
+            for _ in range(2):
+                for goal in goals:
+                    assert engine.query(goal) == db.query(goal), goal
+            assert engine.query("P(x, x)") == [("A",), ("B",)]
+            assert len(engine._memo[1]) == 2
+        finally:
+            engine.close(checkpoint=False)
+
+    # ``advance`` is left out: the same reads, at five times the commit cost.
+    @pytest.mark.parametrize("mode", ["invalidate", "counting"])
+    def test_scans_racing_a_writer_see_a_committed_prefix(self, tmp_path,
+                                                          mode):
+        """Four readers scan ``Unemp(x)`` while 200 dismiss / rehire
+        toggles commit.  Toggle *k* flips ``Works(W{k % 10})``, so the
+        unemployed W's after a prefix repeat only every 20 commits; a
+        scan must match a prefix no older than the last ack it saw
+        before it started and no newer than the one in flight after it
+        returned.  The writer lets a few scans finish after each ack:
+        left alone, a writer-preferring lock starves the readers."""
+        initial = employment_database(20, seed=11)
+        workers = [f"W{i}" for i in range(10)]
+        for person in workers:
+            for predicate in ("La", "Works", "U_benefit"):
+                initial.add_fact(predicate, person)
+        toggles = [parse_transaction(
+            f"{'delete' if (k // 10) % 2 == 0 else 'insert'} "
+            f"Works({workers[k % 10]})") for k in range(200)]
+        states = [initial]
+        for toggle in toggles:
+            states.append(toggle.apply_to(states[-1]))
+        prefixes_of: dict[tuple, list[int]] = {}
+        for index, state in enumerate(states):
+            prefixes_of.setdefault(tuple(state.query("Unemp(x)")),
+                                   []).append(index)
+        assert len(prefixes_of) == 20
+        engine = DatabaseEngine.open(tmp_path / "d", initial=initial,
+                                     cache_mode=mode)
+        acked = 0
+        scans = [0] * 4  # per reader: scans finished
+        done = threading.Event()
+        failures: list[str] = []
+
+        def reader(slot: int) -> None:
+            while not done.is_set() and not failures:
+                low = acked
+                try:
+                    reply = engine.query("Unemp(x)")
+                except Exception as error:  # noqa: BLE001 - fail the test
+                    failures.append(f"query raised: {error!r}")
+                    return
+                high = acked + 1
+                seen = prefixes_of.get(tuple(reply))
+                if seen is None:
+                    failures.append(f"no committed prefix answers {reply}")
+                elif not any(low <= index <= high for index in seen):
+                    failures.append(f"read after ack {low} saw prefixes "
+                                    f"{seen} (in flight: {high})")
+                scans[slot] += 1
+
+        def let_readers_scan() -> None:
+            target = sum(scans) + 8
+            deadline = time.monotonic() + 5
+            while (sum(scans) < target and not failures
+                   and time.monotonic() < deadline):
+                time.sleep(0.0002)
+
+        readers = [threading.Thread(target=reader, args=(slot,))
+                   for slot in range(4)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in readers:
+                thread.start()
+            for toggle in toggles:
+                assert engine.commit(toggle).applied
+                acked += 1
+                let_readers_scan()
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "a reader never finished"
+            assert not failures, failures[:5]
+            assert all(scans), "some reader never scanned"
+            assert engine.metrics.counter("query.memo_hits")
+            assert engine.query("Unemp(x)") == states[-1].query("Unemp(x)")
+        finally:
+            sys.setswitchinterval(switch_interval)
+            done.set()
+            engine.close(checkpoint=False)

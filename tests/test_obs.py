@@ -71,6 +71,24 @@ class TestEngineQuerySpan:
         finally:
             engine.close(checkpoint=False)
 
+    def test_repeated_scan_reads_memo_until_a_write(self, tmp_path,
+                                                    employment_db):
+        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
+        try:
+            paths = []
+            with obs.use() as tracer:
+                for step in ("read", "read", "write", "read", "read"):
+                    if step == "write":
+                        assert engine.commit(parse_transaction(
+                            "insert La(Maria), insert U_benefit(Maria)"))
+                        continue
+                    engine.query("Unemp(x)")
+                    paths.append(tracer.last_root.attributes["path"])
+            assert paths == ["warmup", "memo", "maintained", "memo"]
+            assert engine.stats()["counters"]["query.memo_hits"] == 2
+        finally:
+            engine.close(checkpoint=False)
+
     def test_disabled_tracer_allocates_nothing(self, tmp_path, employment_db,
                                                monkeypatch):
         def forbidden(*args, **kwargs):
@@ -81,7 +99,8 @@ class TestEngineQuerySpan:
             monkeypatch.setattr(obs.Span, "__init__", forbidden)
             monkeypatch.setattr(type(obs.NULL_SPAN), "set", forbidden)
             monkeypatch.setattr(type(obs.NULL_SPAN), "add", forbidden)
-            assert engine.query("Unemp(x)") == [("Dolors",)]
+            for _ in range(2):  # a miss, then a memo hit
+                assert engine.query("Unemp(x)") == [("Dolors",)]
             assert engine.query("La(Dolors)") == [()]
         finally:
             engine.close(checkpoint=False)

@@ -441,8 +441,11 @@ class TestConcurrency:
             barrier.wait()
             for _ in range(200):
                 with lock.read():
+                    writes = lock.writes
                     if state["writer_active"]:
                         seen_overlap.append(True)
+                    if lock.writes != writes:  # the memo's generation rule
+                        seen_overlap.append("writes moved")
 
         def writer() -> None:
             barrier.wait()
@@ -459,6 +462,7 @@ class TestConcurrency:
         for thread in threads:
             thread.join(timeout=30)
         assert not seen_overlap
+        assert lock.writes == 100
 
 
 class TestOutcome:
