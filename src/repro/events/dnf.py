@@ -12,11 +12,20 @@ The algebra implements exactly what the paper uses:
 - the simplifications that keep results minimal: complementary-pair pruning,
   contradictory-event pruning (``ιQ(c) ∧ δQ(c)`` is unsatisfiable because
   (1) and (2) make the two events mutually exclusive) and subsumption.
+
+The simplifications run once, where a formula is built: conjunction drops
+contradictions while it forms the cross product, disjunction of two minimal
+formulas only has to re-check subsumption across the union.  Every result of
+the algebra (and ``true`` / ``false``) is therefore *minimal* -- no conjunct
+is contradictory or subsumed -- and :meth:`Dnf.simplified` returns a minimal
+formula unchanged.  Formulas built by hand from conjuncts are not assumed
+minimal and are cleaned in full.  Above :attr:`Dnf.SUBSUMPTION_LIMIT`
+conjuncts the subsumption pass is skipped and the result is not minimal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.datalog.rules import Atom, Literal
@@ -30,17 +39,61 @@ def _is_contradictory(conjunct: Conjunct) -> bool:
     """True when the conjunct can never hold in any transition.
 
     Two cases: a literal and its negation, or a positive insertion event
-    together with the positive deletion event on the same atom.
+    together with the positive deletion event on the same atom.  One pass:
+    the polarity seen per atom, and the event kind seen per positive
+    ``(predicate, args)`` event.
     """
+    if len(conjunct) < 2:
+        return False
+    polarity: dict[Atom, bool] = {}
+    events: dict[tuple, bool] = {}
     for literal in conjunct:
-        if literal.negate() in conjunct:
+        atom = literal.atom
+        positive = literal.positive
+        if polarity.setdefault(atom, positive) is not positive:
             return True
-        if literal.positive and literal.predicate.startswith(INS_PREFIX):
-            twin = Atom(DEL_PREFIX + literal.predicate[len(INS_PREFIX):],
-                        literal.args)
-            if Literal(twin, True) in conjunct:
-                return True
+        if not positive:
+            continue
+        name = atom.predicate
+        if name.startswith(INS_PREFIX):
+            key, inserted = (name[len(INS_PREFIX):], atom.args), True
+        elif name.startswith(DEL_PREFIX):
+            key, inserted = (name[len(DEL_PREFIX):], atom.args), False
+        else:
+            continue
+        if events.setdefault(key, inserted) is not inserted:
+            return True
     return False
+
+
+def _without_subsumed(conjuncts: Iterable[Conjunct],
+                      subsume: bool | None = None) -> "Dnf":
+    """The formula of contradiction-free *conjuncts*, subsumed ones dropped.
+
+    ``subsume`` as in :meth:`Dnf.simplified`; the result is minimal exactly
+    when the subsumption pass ran.
+    """
+    viable = list(conjuncts)
+    if subsume is None:
+        subsume = len(viable) <= Dnf.SUBSUMPTION_LIMIT
+    if not subsume:
+        return Dnf(frozenset(viable))
+    viable.sort(key=len)
+    kept: list[Conjunct] = []
+    for conjunct in viable:
+        for previous in kept:
+            if previous <= conjunct:
+                break
+        else:
+            kept.append(conjunct)
+    return _minimal(frozenset(kept))
+
+
+def _minimal(disjuncts: frozenset[Conjunct]) -> "Dnf":
+    """A formula the caller knows to be minimal, marked as such."""
+    dnf = Dnf(disjuncts)
+    object.__setattr__(dnf, "minimal", True)
+    return dnf
 
 
 @dataclass(frozen=True)
@@ -48,6 +101,10 @@ class Dnf:
     """An immutable DNF formula: a set of conjuncts (empty set = false)."""
 
     disjuncts: frozenset[Conjunct] = frozenset()
+    #: Set by the algebra: no conjunct is contradictory or subsumed.  Not
+    #: a constructor argument, and ignored by equality and hashing.
+    minimal: bool = field(default=False, init=False, compare=False,
+                          repr=False)
 
     # -- constructors ---------------------------------------------------------
 
@@ -98,17 +155,27 @@ class Dnf:
 
     def or_(self, other: "Dnf") -> "Dnf":
         """Disjunction (simplified)."""
-        return Dnf(self.disjuncts | other.disjuncts).simplified()
+        if not (self.minimal and other.minimal):
+            return Dnf(self.disjuncts | other.disjuncts).simplified()
+        if not other.disjuncts:
+            return self
+        if not self.disjuncts:
+            return other
+        return _without_subsumed(self.disjuncts | other.disjuncts)
 
     def and_(self, other: "Dnf") -> "Dnf":
         """Conjunction: cross-product of conjuncts, pruning contradictions."""
+        if self.minimal and other.disjuncts == _TRUE_DISJUNCTS:
+            return self
+        if other.minimal and self.disjuncts == _TRUE_DISJUNCTS:
+            return other
         merged: set[Conjunct] = set()
         for left in self.disjuncts:
             for right in other.disjuncts:
                 conjunct = left | right
                 if not _is_contradictory(conjunct):
                     merged.add(conjunct)
-        return Dnf(frozenset(merged)).simplified()
+        return _without_subsumed(merged)
 
     def negated(self, max_size: int | None = None) -> "Dnf":
         """Logical negation, re-expanded to DNF.
@@ -145,19 +212,13 @@ class Dnf:
 
         ``subsume`` forces the subsumption pass on (True) or off (False);
         by default it runs only below :data:`SUBSUMPTION_LIMIT` conjuncts,
-        since it costs O(n²) subset tests.
+        since it costs O(n²) subset tests.  A minimal formula has nothing
+        to drop and is returned as it is.
         """
-        viable = [c for c in self.disjuncts if not _is_contradictory(c)]
-        if subsume is None:
-            subsume = len(viable) <= self.SUBSUMPTION_LIMIT
-        if not subsume:
-            return Dnf(frozenset(viable))
-        viable.sort(key=len)
-        kept: list[Conjunct] = []
-        for conjunct in viable:
-            if not any(previous <= conjunct for previous in kept):
-                kept.append(conjunct)
-        return Dnf(frozenset(kept))
+        if self.minimal:
+            return self
+        return _without_subsumed(
+            (c for c in self.disjuncts if not _is_contradictory(c)), subsume)
 
     def substitute(self, subst: Substitution) -> "Dnf":
         """Apply a substitution to every literal."""
@@ -195,5 +256,6 @@ class Dnf:
         return " ∨ ".join(rendered)
 
 
-TRUE_DNF = Dnf(frozenset({frozenset()}))
-FALSE_DNF = Dnf(frozenset())
+_TRUE_DISJUNCTS: frozenset[Conjunct] = frozenset({frozenset()})
+TRUE_DNF = _minimal(_TRUE_DISJUNCTS)
+FALSE_DNF = _minimal(frozenset())

@@ -23,7 +23,12 @@ The interpreter is goal-directed:
 - non-ground literals are instantiated over the finite domain ("as we
   consider finite domains, the number of alternatives is always finite"),
   except that positive literals whose variables occur nowhere else are
-  solved existentially by direct descent (each alternative fixes a witness).
+  solved existentially by direct descent (each alternative fixes a witness);
+- a new-state literal unfolds the transition rules of its predicate.  A call
+  that still has variables shares them with its caller, so the rule is
+  standardised apart (renamed to fresh variables) first; a ground call
+  shares none, and a descent hands back only ground literals, never
+  bindings, so it unfolds the rule as written under an empty substitution.
 
 Top-level *requests* use goal semantics (footnote 1 of the paper): a
 requested change that already holds is trivially satisfied and a
@@ -342,6 +347,8 @@ class DownwardInterpreter:
         self._old = old_state
         self._domain: frozenset[Constant] | None = None
         self._request_constants: frozenset[Constant] = frozenset()
+        #: ``domain()`` sorted for instantiation, once per ``interpret``.
+        self._ordered_domain: list[Constant] | None = None
         self.stats = DownwardStats()
 
     @property
@@ -394,6 +401,7 @@ class DownwardInterpreter:
                     self._old.evaluator.apply_delta(predicate, inserted,
                                                     deleted)
         self._domain = None
+        self._ordered_domain = None
 
     # -- public API ------------------------------------------------------------------
 
@@ -411,6 +419,7 @@ class DownwardInterpreter:
         self._request_constants = frozenset(
             term for literal in literals for term in literal.atom.constants()
         )
+        self._ordered_domain = None
         self.stats = DownwardStats()
         combined = TRUE_DNF
         satisfied: list[Literal] = []
@@ -526,18 +535,16 @@ class DownwardInterpreter:
         best_index = 0
         best_score = None
         for index, literal in enumerate(pending):
-            namespace, _ = parse_prefixed(literal.predicate)
+            namespace, predicate = parse_prefixed(literal.predicate)
             unbound = self._unbound_vars(literal, subst)
             ground = not unbound
             if namespace == "old":
                 score = 0 if ground else (1 if literal.positive else 9)
             elif ground:
-                if namespace in ("ins", "del"):
-                    base = not self._program.is_derived(
-                        parse_prefixed(literal.predicate)[1])
-                    score = (2 if literal.positive else 3) if base else \
-                        (4 if literal.positive else 5)
-                else:  # new$
+                if namespace != "new" \
+                        and not self._program.is_derived(predicate):
+                    score = 2 if literal.positive else 3
+                else:  # derived event or new$
                     score = 4 if literal.positive else 5
             else:
                 score = 6 if literal.positive else 9
@@ -754,21 +761,32 @@ class DownwardInterpreter:
             inserted = [Literal(Atom(ins_name(predicate), args), True)]
             return self._down_conjunct(stay, dict(subst), depth + 1).or_(
                 self._down_conjunct(inserted, dict(subst), depth + 1))
+        call = Atom(predicate, args)
         total = FALSE_DNF
         for transition in self._program.transition_rules_of(predicate):
-            renamed = self._rename_transition(transition)
-            unified = unify_atoms(Atom(predicate, args),
-                                  Atom(predicate, renamed.head.args), subst)
+            rule, start = self._standardised(transition, call, subst)
+            unified = unify_atoms(call, Atom(predicate, rule.head.args), start)
             if unified is None:
                 continue
-            for disjunct in renamed.disjuncts:
+            for disjunct in rule.disjuncts:
                 self.stats.disjuncts_explored += 1
                 piece = self._down_conjunct(list(disjunct), dict(unified), depth + 1)
                 total = total.or_(piece)
                 self._guard(total)
         return total.simplified()
 
-    _rename_counter = itertools.count(1)
+    def _standardised(self, transition, call: Atom, subst: Substitution):
+        """The rule to unfold *call* against, and the substitution to start
+        from.
+
+        Standardising apart only matters when the call shares variables
+        with the caller: a ground call unfolds the rule as written under an
+        empty substitution (the caller's bindings may name the rule's own
+        variables), the rest get a renamed copy under the caller's bindings.
+        """
+        if call.is_ground():
+            return transition, {}
+        return self._rename_transition(transition), subst
 
     def _rename_transition(self, transition):
         """Standardise a transition rule apart from the current goal."""
@@ -813,7 +831,9 @@ class DownwardInterpreter:
         if not variables:
             yield dict(subst)
             return
-        domain = sorted(self.domain(), key=str)
+        if self._ordered_domain is None:
+            self._ordered_domain = sorted(self.domain(), key=str)
+        domain = self._ordered_domain
         if not domain:
             raise DomainError(
                 "finite-domain instantiation required but the active domain "

@@ -313,3 +313,228 @@ class TestResultApi:
         assert translation.respects_constraints(Transaction([delete("R", "B")]))
         assert not translation.respects_constraints(
             Transaction([delete("Q", "B")]))
+
+
+# -- ground calls unfold their transition rule as written ----------------------
+
+
+#: A recursive view: its inner ``new$Path(z, y)`` calls share variables
+#: with their caller, so they are standardised apart even for a ground
+#: request.
+PATH = """
+    Edge(A,B). Edge(B,C).
+    Path(x,y) <- Edge(x,y).
+    Path(x,y) <- Edge(x,z) & Path(z,y).
+"""
+
+
+def _paper_and_employment_cases():
+    """(database, request set) pairs: the paper's examples and the
+    employment workload -- ins/del on Unemp and Ic1, negative requests,
+    requests with variables, and the recursive :data:`PATH`."""
+    from repro.workloads import employment_database
+
+    x, y = Variable("x"), Variable("y")
+    pqr = """
+        Q(A). Q(B). R(B).
+        P(x) <- Q(x) & not R(x).
+    """
+    office = """
+        La(Dolors). U_benefit(Dolors). La(Pere). Works(Pere). La(Joan).
+        Unemp(x) <- La(x) & not Works(x).
+        Ic1 <- Unemp(x) & not U_benefit(x).
+    """
+    path = PATH
+    cases = [
+        (pqr, [want_insert("P", "B")]),
+        (pqr, [want_delete("P", "A")]),
+        (pqr, [forbid_insert("P", "B")]),
+        (pqr, [want_insert("P", "C"), forbid_insert("Q", "C")]),
+        (pqr, [Literal(Atom("ins$P", (x,)), True)]),
+        (office, [want_insert("Unemp", "Pere")]),
+        (office, [want_delete("Unemp", "Dolors")]),
+        (office, [want_insert("Ic1")]),
+        (office, [want_delete("Ic1")]),
+        (office, [forbid_insert("Ic1")]),
+        (office, [forbid_delete("Unemp", "Dolors")]),
+        (office, [Literal(Atom("ins$Unemp", (x,)), True)]),
+        (office, [Literal(Atom("ins$Unemp", (x,)), False)]),
+        (path, [want_insert("Path", "A", "D")]),
+        (path, [want_delete("Path", "A", "C")]),
+        (path, [Literal(Atom("ins$Path", (x, y)), True)]),
+    ]
+    workload = employment_database(30, benefit_ratio=0.5, seed=4)
+    unemployed = sorted(row[0] for row in workload.query("Unemp(x)"))
+    employed = sorted(row[0] for row in workload.query("Works(x)"))
+    violators = sorted(row[0] for row in workload.query("Ic1(x)"))
+    assert unemployed and employed and violators
+    cases += [
+        (workload, [want_insert("Unemp", employed[0])]),
+        (workload, [want_delete("Unemp", unemployed[0])]),
+        (workload, [forbid_delete("Unemp", unemployed[-1])]),
+        (workload, [want_insert("Ic1", employed[-1])]),
+        (workload, [want_delete("Ic1", violators[0])]),
+        (workload, [forbid_insert("Ic1", employed[0]),
+                    want_insert("Unemp", employed[0])]),
+        (workload, [Literal(Atom("del$Ic1", (x,)), True)]),
+    ]
+    return cases
+
+
+def _database(source):
+    if isinstance(source, DeductiveDatabase):
+        return source
+    return DeductiveDatabase.from_source(source)
+
+
+def _always_rename(self, transition, call, subst):
+    return self._rename_transition(transition), subst
+
+
+GROUND_UNFOLD_CASES = _paper_and_employment_cases()
+
+
+class TestGroundUnfold:
+    """A ground ``new$P`` call unfolds the transition rule without renaming
+    it apart; the result must be exactly the renaming path's."""
+
+    @staticmethod
+    def _interpret(source, requests):
+        options = DownwardOptions(max_depth=8, on_depth_limit="prune")
+        return DownwardInterpreter(_database(source),
+                                   options=options).interpret(requests)
+
+    @pytest.mark.parametrize("index", range(len(GROUND_UNFOLD_CASES)))
+    def test_same_result_as_renaming_every_call(self, index, monkeypatch):
+        source, requests = GROUND_UNFOLD_CASES[index]
+        written = self._interpret(source, requests)
+        monkeypatch.setattr(DownwardInterpreter, "_standardised",
+                            _always_rename)
+        renamed = self._interpret(source, requests)
+        assert written.translations == renamed.translations
+        assert written.dnf == renamed.dnf
+        assert all(literal.is_ground() for literal in written.dnf.literals())
+
+    @pytest.mark.parametrize("index", [
+        i for i, (source, requests) in enumerate(GROUND_UNFOLD_CASES)
+        if source is not PATH and all(r.is_ground() for r in requests)])
+    def test_ground_request_never_renames(self, index, monkeypatch):
+        source, requests = GROUND_UNFOLD_CASES[index]
+        renames = []
+
+        def spy(self, transition):
+            renames.append(transition)
+            return original(self, transition)
+
+        original = DownwardInterpreter._rename_transition
+        monkeypatch.setattr(DownwardInterpreter, "_rename_transition", spy)
+        result = self._interpret(source, requests)
+        assert renames == []
+        assert all(literal.is_ground() for literal in result.dnf.literals())
+
+    def test_caller_bindings_do_not_leak_into_the_rule(self):
+        # The caller's x (bound to B) and the transition rule's own x are
+        # different variables: unfolding new$P(A) as written must start
+        # from an empty substitution, not the caller's.
+        db = DeductiveDatabase.from_source("""
+            Q(A). Q(B). R(B).
+            P(x) <- Q(x) & not R(x).
+            W(x) <- S(x) & P(A).
+        """)
+        db.declare_base("S", 1)
+        result = DownwardInterpreter(db).interpret(want_insert("W", "B"))
+        assert Transaction([insert("S", "B")]) in result.transactions()
+
+
+class TestDownwardCallCounts:
+    """Deterministic cost guard: DNF work and renaming per request."""
+
+    def test_ground_unemp_requests(self, monkeypatch):
+        from repro.events import dnf as dnf_module
+        from repro.workloads import employment_database
+
+        db = employment_database(1000, seed=7)
+        unemployed = sorted(row[0] for row in db.query("Unemp(x)"))
+        employed = sorted(row[0] for row in db.query("Works(x)"))
+        requests = [want_delete("Unemp", p) for p in unemployed[:100]] \
+            + [want_insert("Unemp", p) for p in employed[:100]]
+        interpreter = DownwardInterpreter(db)
+        interpreter.interpret(requests[0])  # materialise the old state
+        counts = {"contradictory": 0, "rename": 0}
+        contradictory = dnf_module._is_contradictory
+        rename = DownwardInterpreter._rename_transition
+
+        def counted_contradictory(conjunct):
+            counts["contradictory"] += 1
+            return contradictory(conjunct)
+
+        def counted_rename(self, transition):
+            counts["rename"] += 1
+            return rename(self, transition)
+
+        monkeypatch.setattr(dnf_module, "_is_contradictory",
+                            counted_contradictory)
+        monkeypatch.setattr(DownwardInterpreter, "_rename_transition",
+                            counted_rename)
+        for request in requests:
+            assert interpreter.interpret(request).translations
+        assert len(requests) == 200
+        assert counts["contradictory"] <= 15 * len(requests)
+        assert counts["rename"] == 0
+
+
+class TestOrderedDomain:
+    """The instantiation domain is sorted once per ``interpret`` call."""
+
+    @staticmethod
+    def _syn4(size):
+        from repro.datalog.parser import parse_rule
+
+        db = DeductiveDatabase()
+        db.declare_base("B", 1)
+        db.declare_base("G", 1)
+        db.add_rule(parse_rule("V(x) <- B(x) & not G(x)."))
+        for index in range(size):
+            db.add_fact("G", f"C{index}")
+        return db
+
+    @pytest.mark.parametrize("size", [4, 8, 16, 32])
+    def test_syn4_domain_sweep_translations(self, size):
+        request = Literal(Atom("ins$V", (Variable("x"),)), True)
+        result = DownwardInterpreter(self._syn4(size)).interpret(request)
+        assert set(result.transactions()) == {
+            Transaction([insert("B", f"C{i}"), delete("G", f"C{i}")])
+            for i in range(size)}
+
+    def test_one_sort_per_interpret(self, monkeypatch):
+        x, y = Variable("x"), Variable("y")
+        requests = [Literal(Atom("ins$V", (x,)), False),
+                    Literal(Atom("ins$B", (y,)), False)]
+        interpreter = DownwardInterpreter(self._syn4(6))
+        domain_calls, instantiations = [], []
+        domain = DownwardInterpreter.domain
+        instantiate = DownwardInterpreter._instantiate_vars
+
+        def spy_domain(self):
+            domain_calls.append(1)
+            return domain(self)
+
+        def spy_instantiate(self, variables, subst):
+            if variables:
+                instantiations.append(variables)
+            return instantiate(self, variables, subst)
+
+        monkeypatch.setattr(DownwardInterpreter, "domain", spy_domain)
+        monkeypatch.setattr(DownwardInterpreter, "_instantiate_vars",
+                            spy_instantiate)
+        first = interpreter.interpret(requests)
+        assert len(instantiations) >= 2
+        assert len(domain_calls) == 1
+        interpreter.interpret(requests)
+        assert len(domain_calls) == 2
+
+        # Request constants join the domain of the call that names them.
+        named = interpreter.interpret(
+            requests + [Literal(Atom("ins$B", (Constant("New"),)), True)])
+        assert first.is_satisfiable and not named.is_satisfiable
+        assert len(domain_calls) == 3
