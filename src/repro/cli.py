@@ -80,7 +80,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0 if result.is_satisfiable else 1
-    if result.already_satisfied and not result.translations:
+    if result.dnf.is_true:
         print("already satisfied")
         return 0
     if not result.is_satisfiable:
@@ -188,10 +188,12 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 pieces = line[len("translate "):].split(";")
                 result = processor.downward(
                     [parse_request(piece) for piece in pieces])
-                if not result.is_satisfiable:
-                    print("no translation")
-                for index, translation in enumerate(result.translations, 1):
-                    print(f"  {index}. {translation}")
+                if result.dnf.is_true or not result.is_satisfiable:
+                    print(result)  # "already satisfied" / "no translation"
+                else:
+                    for index, translation in enumerate(
+                            result.translations, 1):
+                        print(f"  {index}. {translation}")
             elif line == "undo":
                 undone = journal.undo()
                 processor.refresh()

@@ -47,6 +47,14 @@ def substitute_literal(literal: Literal, subst: Substitution) -> Literal:
     return Literal(substitute_atom(literal.atom, subst), literal.positive)
 
 
+def rename_terms(literal: Literal, mapping: Mapping[Term, Term]) -> Literal:
+    """Replace every term of *literal*, constant or variable, that
+    *mapping* names (one pass, no chains followed)."""
+    return Literal(Atom(literal.atom.predicate,
+                        tuple(mapping.get(t, t) for t in literal.atom.args)),
+                   literal.positive)
+
+
 def substitute_rule(r: Rule, subst: Substitution) -> Rule:
     """Apply *subst* to a whole rule."""
     return Rule(

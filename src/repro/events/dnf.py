@@ -26,10 +26,12 @@ conjuncts the subsumption pass is skipped and the result is not minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.datalog.rules import Atom, Literal
-from repro.datalog.unification import Substitution, substitute_literal
+from repro.datalog.terms import Term
+from repro.datalog.unification import (Substitution, rename_terms,
+                                       substitute_literal)
 from repro.events.naming import DEL_PREFIX, INS_PREFIX
 
 Conjunct = frozenset[Literal]
@@ -226,6 +228,20 @@ class Dnf:
             frozenset(substitute_literal(lit, subst) for lit in conjunct)
             for conjunct in self.disjuncts
         ))
+
+    def renamed(self, mapping: Mapping[Term, Term]) -> "Dnf":
+        """Replace terms through *mapping* (:func:`rename_terms`).
+
+        The caller promises the renaming is injective on the formula's
+        terms, so no two literals merge and a minimal formula stays
+        minimal.
+        """
+        renamed = Dnf(frozenset(
+            frozenset(rename_terms(lit, mapping) for lit in conjunct)
+            for conjunct in self.disjuncts))
+        if self.minimal:
+            object.__setattr__(renamed, "minimal", True)
+        return renamed
 
     def literals(self) -> frozenset[Literal]:
         """Every literal occurring anywhere in the formula."""

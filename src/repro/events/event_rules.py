@@ -33,13 +33,14 @@ reduces the number of rules evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.errors import StratificationError
 from repro.datalog.rules import Atom, Literal, Rule
 from repro.datalog.stratify import Stratification, stratify
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
 from repro.events.dnf import _is_contradictory
 from repro.events.naming import (
     EventKind,
@@ -121,6 +122,21 @@ class TransitionProgram:
     source_rules: tuple[Rule, ...] = field(default=())
     #: Diagnostic carried when :attr:`stratification` is None.
     stratification_failure: str | None = None
+    #: The downward interpreter's templates, per option set and request
+    #: shape (:mod:`repro.interpretations.downward`); built lazily, they
+    #: live as long as the program, across every fact-level change.
+    downward_templates: dict = field(default_factory=dict, init=False,
+                                     compare=False, repr=False)
+
+    @cached_property
+    def constants(self) -> frozenset[Constant]:
+        """Every constant the transition rules mention."""
+        return frozenset(
+            term
+            for rules in self.transition_rules.values() for rule in rules
+            for atom in (rule.head, *(literal.atom for disjunct in
+                                      rule.disjuncts for literal in disjunct))
+            for term in atom.constants())
 
     def require_flat_program(self) -> Stratification:
         """Stratification of the flat program, or a descriptive error.

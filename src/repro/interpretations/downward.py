@@ -30,6 +30,17 @@ The interpreter is goal-directed:
   shares none, and a descent hands back only ground literals, never
   bindings, so it unfolds the rule as written under an empty substitution.
 
+Only the ground probes (old state, built-ins) depend on the state or the
+constants, so an unfold is kept as the *template* of its request shape
+(each constant replaced by the slot of its first occurrence): a trie over
+the outcomes of the distinct probes it ran, whose leaf is the result DNF
+over the slots.  A request of that shape runs each probe once, fills the
+slots and extracts translations as usual; an unseen outcome unfolds once
+more and adds the branch.  The trie lives on the :class:`TransitionProgram`
+and so survives every change of the facts.  Shapes whose unfold enumerates
+(a lookup, a domain instantiation), and requests naming a rule's
+constant, always unfold.
+
 Top-level *requests* use goal semantics (footnote 1 of the paper): a
 requested change that already holds is trivially satisfied and a
 requirement on an impossible event is vacuous.  Event literals *inside*
@@ -40,8 +51,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
+from repro.datalog.builtins import evaluate_builtin, is_builtin
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.errors import DepthLimitExceeded, DomainError, TransactionError
 from repro.datalog.evaluation import BottomUpEvaluator
@@ -50,6 +62,7 @@ from repro.datalog.terms import Constant, Term, Variable
 from repro.datalog.unification import (
     Substitution,
     match_tuple,
+    rename_terms,
     resolve,
     substitute_literal,
     unify_atoms,
@@ -147,6 +160,15 @@ class DownwardStats:
     old_queries: int = 0
     #: Branches cut off by ``on_depth_limit="prune"``.
     pruned: int = 0
+    #: 1 on a template hit; 1 in ``untemplated`` when templates were ruled out.
+    templated: int = 0
+    untemplated: int = 0
+
+    @property
+    def path(self) -> str:
+        """``template``, ``untemplated`` or ``unfold`` (recorded)."""
+        return "template" if self.templated else \
+            "untemplated" if self.untemplated else "unfold"
 
     def snapshot(self) -> "DownwardStats":
         """A frozen copy (for computing per-stage deltas)."""
@@ -158,10 +180,6 @@ class DownwardStats:
             name: value - getattr(earlier, name)
             for name, value in vars(self).items()
         })
-
-    def to_counters(self) -> dict[str, int]:
-        """The counters as a plain dict (span/JSON friendly)."""
-        return dict(vars(self))
 
     def record_to(self, span) -> None:
         """Add every non-zero counter onto an :mod:`repro.obs` span."""
@@ -236,8 +254,10 @@ class DownwardResult:
         )
 
     def __str__(self) -> str:
+        if self.dnf.is_true:
+            return "already satisfied"
         if not self.translations:
-            return "no translation" if not self.dnf.is_true else "already satisfied"
+            return "no translation"
         return "; ".join(str(t) for t in self.translations)
 
 
@@ -320,6 +340,19 @@ class EvaluatedOldState:
             yield tuple(resolve(t, bindings) for t in pattern)
 
 
+# -- templates ------------------------------------------------------------------
+
+
+class _Template(NamedTuple):
+    """A trie leaf (inner nodes are ``(predicate, row)`` probes)."""
+
+    dnf: Dnf
+    satisfied: tuple[Literal, ...]
+
+
+_UNTEMPLATED = object()  # a shape whose unfold enumerates
+
+
 # -- the interpreter --------------------------------------------------------------
 
 
@@ -345,6 +378,11 @@ class DownwardInterpreter:
             old_state = EvaluatedOldState(BottomUpEvaluator(
                 db, self._program.source_rules, engine=self._options.engine))
         self._old = old_state
+        self._templates: dict = self._program.downward_templates.setdefault(
+            (self._options.max_depth, self._options.on_depth_limit,
+             self._options.max_disjuncts), {})
+        #: Distinct probes -> outcomes of the unfold being recorded, if any.
+        self._probed: dict | None = None
         self._domain: frozenset[Constant] | None = None
         self._request_constants: frozenset[Constant] = frozenset()
         #: ``domain()`` sorted for instantiation, once per ``interpret``.
@@ -421,28 +459,15 @@ class DownwardInterpreter:
         )
         self._ordered_domain = None
         self.stats = DownwardStats()
-        combined = TRUE_DNF
-        satisfied: list[Literal] = []
         with obs.span("downward.interpret") as span:
             if obs.enabled():
                 span.add("requests", len(literals))
-            for literal in literals:
-                with obs.span("downward.request") as request_span:
-                    if obs.enabled():
-                        request_span.set(request=str(literal))
-                        before = self.stats.snapshot()
-                    piece = self._down_request(literal, satisfied)
-                    if obs.enabled():
-                        self.stats.delta_since(before).record_to(request_span)
-                        request_span.add("disjuncts", len(piece))
-                combined = combined.and_(piece)
-                if combined.is_false:
-                    break
-            combined = combined.simplified()
+            combined, satisfied = self._templated(literals)
             translations = self._extract_translations(combined)
             if obs.enabled():
                 self.stats.record_to(span)
                 span.add("translations", len(translations))
+                span.set(path=self.stats.path)
         return DownwardResult(
             requests=tuple(literals),
             dnf=combined,
@@ -450,6 +475,69 @@ class DownwardInterpreter:
             already_satisfied=tuple(satisfied),
             stats=self.stats,
         )
+
+    def _templated(self, literals: list[Literal]) -> tuple[Dnf, list[Literal]]:
+        """The result from the shape's template, recording on a miss.  A
+        shape's trie is one dict from the outcomes so far to the next
+        probe or the leaf."""
+        slots: dict[Constant, Variable] = {}
+        for literal in literals:
+            for term in literal.args:
+                if isinstance(term, Constant) and term not in slots:
+                    slots[term] = Variable(f"%{len(slots)}")
+        shape = tuple(rename_terms(literal, slots) for literal in literals)
+        trie = self._templates.setdefault(shape, {})
+        if trie is _UNTEMPLATED \
+                or not self._request_constants.isdisjoint(self._program.constants):
+            self.stats.untemplated = 1
+            return self._unfold(literals)
+        values = {slot: constant for constant, slot in slots.items()}
+        outcomes = ()
+        node = trie.get(outcomes)
+        while type(node) is tuple:  # a probe (a leaf is a tuple subclass)
+            predicate, row = node
+            outcomes += (self._holds(predicate,
+                                     tuple(values.get(t, t) for t in row)),)
+            node = trie.get(outcomes)
+        if node is not None:
+            self.stats = DownwardStats(old_queries=len(outcomes), templated=1)
+            return node.dnf.renamed(values), \
+                [rename_terms(literal, values) for literal in node.satisfied]
+        self._probed = {}
+        try:
+            combined, satisfied = self._unfold(literals)
+        finally:
+            probed, self._probed = self._probed, None
+        if probed is None:
+            self._templates[shape] = _UNTEMPLATED
+            self.stats.untemplated = 1
+            return combined, satisfied
+        outcomes = ()
+        for (predicate, row), held in probed.items():
+            trie[outcomes] = (predicate, tuple(slots.get(t, t) for t in row))
+            outcomes += (held,)
+        trie[outcomes] = _Template(
+            combined.renamed(slots),
+            tuple(rename_terms(literal, slots) for literal in satisfied))
+        return combined, satisfied
+
+    def _unfold(self, literals: list[Literal]) -> tuple[Dnf, list[Literal]]:
+        """Section 4.2's reading of the rules, request by request."""
+        combined = TRUE_DNF
+        satisfied: list[Literal] = []
+        for literal in literals:
+            with obs.span("downward.request") as request_span:
+                if obs.enabled():
+                    request_span.set(request=str(literal))
+                    before = self.stats.snapshot()
+                piece = self._down_request(literal, satisfied)
+                if obs.enabled():
+                    self.stats.delta_since(before).record_to(request_span)
+                    request_span.add("disjuncts", len(piece))
+            combined = combined.and_(piece)
+            if combined.is_false:
+                break
+        return combined.simplified(), satisfied
 
     # -- request-level (goal) semantics ----------------------------------------------
 
@@ -483,11 +571,21 @@ class DownwardInterpreter:
 
     def _holds(self, predicate: str, row: Row) -> bool:
         """Old-state truth of a ground atom: one probe, whatever the
-        extent's size -- the store for a base fact, the old-state source
-        for a derived one."""
-        if self._program.is_derived(predicate):
-            return self._old.holds(predicate, row)
-        return self._db.has_fact(predicate, *row)
+        extent's size -- the built-in's test, the store for a base fact,
+        the old-state source for a derived one.  While an unfold is being
+        recorded each distinct probe runs once."""
+        probed = self._probed
+        if probed is not None and (predicate, row) in probed:
+            return probed[predicate, row]
+        if is_builtin(predicate):
+            held = evaluate_builtin(predicate, row)
+        elif self._program.is_derived(predicate):
+            held = self._old.holds(predicate, row)
+        else:
+            held = self._db.has_fact(predicate, *row)
+        if probed is not None:
+            probed[predicate, row] = held
+        return held
 
     # -- conjunct processing ------------------------------------------------------------
 
@@ -587,15 +685,13 @@ class DownwardInterpreter:
 
     def _down_old(self, literal: Literal,
                   subst: Substitution) -> Iterator[tuple[Substitution, Dnf]]:
-        from repro.datalog.builtins import evaluate_builtin, is_builtin
-
         self.stats.old_queries += 1
         if is_builtin(literal.predicate):
             # Rigid literal: a pure (state-independent) test; non-ground
             # occurrences are instantiated over the finite domain.
             for bindings in self._instantiations(literal, subst):
                 row = tuple(resolve(t, bindings) for t in literal.args)
-                if evaluate_builtin(literal.predicate, row) == literal.positive:
+                if self._holds(literal.predicate, row) == literal.positive:
                     yield bindings, TRUE_DNF
             return
         pattern = tuple(resolve(t, subst) for t in literal.args)
@@ -607,6 +703,7 @@ class DownwardInterpreter:
                 return
             source = self._old if self._program.is_derived(literal.predicate) \
                 else self._db
+            self._probed = None  # an enumerating shape is never templated
             for row in source.lookup(literal.predicate, pattern):
                 bindings = self._bind_row(pattern, row, subst)
                 if bindings is not None:
@@ -625,7 +722,7 @@ class DownwardInterpreter:
 
     def _event_possible(self, kind: EventKind, predicate: str, row: Row) -> bool:
         """Occurrence precondition from definitions (1)/(2)."""
-        held = self._db.has_fact(predicate, *row)
+        held = self._holds(predicate, row)
         return not held if kind is EventKind.INSERTION else held
 
     def _down_base_event(self, kind: EventKind, predicate: str,
@@ -640,6 +737,7 @@ class DownwardInterpreter:
                     yield dict(subst), Dnf.of_literal(ground)
                 return
             self.stats.enumerations += 1
+            self._probed = None
             if kind is EventKind.DELETION:
                 # δQ requires Qo: instantiate over the stored rows.
                 pattern = tuple(resolve(t, subst) for t in literal.args)
@@ -831,6 +929,7 @@ class DownwardInterpreter:
         if not variables:
             yield dict(subst)
             return
+        self._probed = None
         if self._ordered_domain is None:
             self._ordered_domain = sorted(self.domain(), key=str)
         domain = self._ordered_domain

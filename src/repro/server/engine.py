@@ -348,6 +348,12 @@ def checked_commit(processor: UpdateProcessor, transaction: Transaction,
     return CommitOutcome(True, transaction, effective, check_result, repairs)
 
 
+#: The engine counter of each ``DownwardStats.path``.
+_DOWNWARD_PATHS = {"template": "downward.template_hits",
+                   "unfold": "downward.template_misses",
+                   "untemplated": "downward.untemplated"}
+
+
 class _Pending:
     """One queued commit awaiting its batch."""
 
@@ -700,9 +706,14 @@ class DatabaseEngine:
         A search, so it runs under the interpreter mutex; its old-state
         literals read the store's indexes and the maintainer's standing
         extents (the processor's downward interpreter is bound to them).
+        Counts whether a template answered (``downward.template_hits``),
+        was recorded (``downward.template_misses``) or was ruled out
+        (``downward.untemplated``).
         """
-        return self._interpret(
+        result = self._interpret(
             "downward", lambda: self._processor.downward(requests))
+        self.metrics.increment(_DOWNWARD_PATHS[result.stats.path])
+        return result
 
     def repair(self, verify: bool = False):
         """Candidate repairs of an inconsistent database (5.2.3)."""

@@ -76,6 +76,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "δLa(Dolors)" in out and "ιWorks(Dolors)" in out
 
+    def test_translate_already_satisfied(self, db_file, capsys):
+        # Dolors is already unemployed: nothing to translate, and no
+        # empty translation printed as "1. {}".
+        assert main(["translate", db_file, "-r", "ins Unemp(Dolors)"]) == 0
+        assert capsys.readouterr().out == "already satisfied\n"
+
     def test_translate_request_set(self, db_file, capsys):
         code = main(["translate", db_file,
                      "-r", "del Unemp(Dolors)", "-r", "not ins Ic"])
@@ -151,6 +157,11 @@ class TestRepl:
         assert "δLa(Dolors)" in out
         assert "violates Ic1" in out
         assert "unknown command" in out
+
+    def test_translate_already_satisfied(self, monkeypatch, capsys, db_file):
+        code, out = self._run(monkeypatch, capsys, db_file, [
+            "translate ins Unemp(Dolors)", "quit"])
+        assert "already satisfied" in out and "{}" not in out
 
     def test_parse_error_reported_not_fatal(self, monkeypatch, capsys, db_file):
         code, out = self._run(monkeypatch, capsys, db_file, [

@@ -298,6 +298,14 @@ class TestResultApi:
         result = DownwardInterpreter(pqr_db).interpret(want_insert("P", "B"))
         assert "δR(B)" in str(result)
 
+    def test_str_already_satisfied(self, employment_db):
+        result = DownwardInterpreter(employment_db).interpret(
+            want_insert("Unemp", "Dolors"))
+        assert result.dnf.is_true
+        assert str(result) == "already satisfied"
+        assert result.to_dict()["translations"] == [
+            {"transaction": [], "constraints": []}]
+
     def test_str_no_translation(self):
         db = DeductiveDatabase.from_source("Q(A). P(x) <- Q(x) & R(x).")
         # R is underivable and has no facts; inserting P(Z) needs both.
@@ -447,7 +455,8 @@ class TestGroundUnfold:
 
 
 class TestDownwardCallCounts:
-    """Deterministic cost guard: DNF work and renaming per request."""
+    """Deterministic cost guard: DNF work, renaming, unfolding and state
+    probes per request."""
 
     def test_ground_unemp_requests(self, monkeypatch):
         from repro.events import dnf as dnf_module
@@ -460,9 +469,11 @@ class TestDownwardCallCounts:
             + [want_insert("Unemp", p) for p in employed[:100]]
         interpreter = DownwardInterpreter(db)
         interpreter.interpret(requests[0])  # materialise the old state
-        counts = {"contradictory": 0, "rename": 0}
+        counts = {"contradictory": 0, "rename": 0, "unfold": 0, "probe": 0}
         contradictory = dnf_module._is_contradictory
         rename = DownwardInterpreter._rename_transition
+        down_conjunct = DownwardInterpreter._down_conjunct
+        holds = DownwardInterpreter._holds
 
         def counted_contradictory(conjunct):
             counts["contradictory"] += 1
@@ -474,11 +485,34 @@ class TestDownwardCallCounts:
 
         monkeypatch.setattr(dnf_module, "_is_contradictory",
                             counted_contradictory)
+        def counted_down_conjunct(self, *args):
+            counts["unfold"] += 1
+            return down_conjunct(self, *args)
+
+        def counted_holds(self, predicate, row):
+            counts["probe"] += 1
+            return holds(self, predicate, row)
+
         monkeypatch.setattr(DownwardInterpreter, "_rename_transition",
                             counted_rename)
+        monkeypatch.setattr(DownwardInterpreter, "_down_conjunct",
+                            counted_down_conjunct)
+        monkeypatch.setattr(DownwardInterpreter, "_holds", counted_holds)
+        paths = []
         for request in requests:
-            assert interpreter.interpret(request).translations
+            before = dict(counts)
+            result = interpreter.interpret(request)
+            assert result.translations
+            paths.append(result.stats.path)
+            if result.stats.templated:
+                # A hit runs each distinct probe once and unfolds nothing.
+                assert counts["unfold"] == before["unfold"]
+                assert counts["probe"] - before["probe"] \
+                    == result.stats.old_queries <= 3
         assert len(requests) == 200
+        # One recording per shape and branch: here one branch per shape.
+        assert paths.count("unfold") == 1
+        assert paths.count("template") == 199
         assert counts["contradictory"] <= 15 * len(requests)
         assert counts["rename"] == 0
 
@@ -538,3 +572,228 @@ class TestOrderedDomain:
             requests + [Literal(Atom("ins$B", (Constant("New"),)), True)])
         assert first.is_satisfiable and not named.is_satisfiable
         assert len(domain_calls) == 3
+
+
+# -- templates: a warm interpreter agrees with a cold unfold -------------------
+
+
+def _template_cases():
+    """(database, request builder, target constants, warm-up constants,
+    expected path of the target on the warm interpreter)."""
+    from repro.workloads import employment_database
+
+    pqr = """
+        Q(A). Q(B). R(B). Q(C). R(C). Q(D).
+        P(x) <- Q(x) & not R(x).
+    """
+    office = """
+        La(Dolors). U_benefit(Dolors). La(Pere). Works(Pere). La(Joan).
+        La(Maria). Works(Maria). La(Anna). U_benefit(Anna).
+        Unemp(x) <- La(x) & not Works(x).
+        Ic1 <- Unemp(x) & not U_benefit(x).
+    """
+    pairs = """
+        Q(A). Q(B). S(A). S(B). S(C).
+        P(x, y) <- Q(x) & S(y) & not Q(y).
+    """
+    distinct = """
+        Q(A). Q(B). Q(C).
+        P(x, y) <- Q(x) & Q(y) & x != y.
+    """
+    #: ``ins P(C, D)`` and ``ins P(A, A)`` see the same probe outcomes;
+    #: only the shape tells that the second needs ``ιR(A) ∧ ¬ιR(A)``.
+    equal_args = """
+        S(A). S(B). S(C). S(D). R(Z).
+        P(x, y) <- S(x) & S(y) & R(x) & not R(y).
+    """
+    #: ``A`` occurs in a rule: requests naming it are never templated.
+    rule_constant = """
+        Q(B). R(Z).
+        P(x) <- Q(x).
+        P(A) <- R(A).
+    """
+    x = Variable("x")
+    workload = employment_database(30, benefit_ratio=0.5, seed=4)
+    unemployed = sorted(row[0] for row in workload.query("Unemp(x)"))
+    employed = sorted(row[0] for row in workload.query("Works(x)"))
+    violators = sorted(row[0] for row in workload.query("Ic1(x)"))
+    assert len(employed) > 2 and len(unemployed) > 2 and len(violators) > 2
+
+    def each(people):
+        return [(person,) for person in people]
+
+    return [
+        # The paper's P/Q/R example: derived insertion and deletion, an
+        # already-satisfied request, negative and multi-literal sets.
+        (pqr, lambda c: [want_insert("P", c)], ("B",), [("C",)], "template"),
+        (pqr, lambda c: [want_delete("P", c)], ("A",), [("D",)], "template"),
+        (pqr, lambda c: [want_insert("P", c)], ("A",), [("D",)], "template"),
+        (pqr, lambda c: [forbid_insert("P", c)], ("B",), [("C",)],
+         "template"),
+        (pqr, lambda c: [want_insert("P", c), forbid_insert("Q", c)], ("E",),
+         [("F",)], "template"),
+        (pqr, lambda c: [want_insert("P", c), forbid_delete("R", c)], ("B",),
+         [("C",)], "template"),
+        # The running example of Section 5.
+        (office, lambda p: [want_insert("Unemp", p)], ("Pere",),
+         [("Maria",)], "template"),
+        (office, lambda p: [want_delete("Unemp", p)], ("Dolors",),
+         [("Anna",)], "template"),
+        (office, lambda p: [forbid_delete("Unemp", p)], ("Dolors",),
+         [("Anna",)], "template"),
+        # Joan already violates Ic1: one probe, nothing enumerated.
+        (office, lambda: [want_insert("Ic1")], (), [()], "template"),
+        (office, lambda: [want_delete("Ic1")], (), [()], "untemplated"),
+        (office, lambda: [Literal(Atom("ins$Unemp", (x,)), True)], (), [()],
+         "untemplated"),
+        # Enumerating requests: an old-state scan, a stored-row scan.
+        (pqr, lambda: [Literal(Atom("del$P", (x,)), True)], (), [()],
+         "untemplated"),
+        (pqr, lambda: [Literal(Atom("del$R", (x,)), True)], (), [()],
+         "untemplated"),
+        # employment_database: ins/del Unemp and Ic1, warmed on everyone
+        # else of the same kind.
+        (workload, lambda p: [want_insert("Unemp", p)], (employed[0],),
+         each(employed[1:]), "template"),
+        (workload, lambda p: [want_delete("Unemp", p)], (unemployed[0],),
+         each(unemployed[1:]), "template"),
+        (workload, lambda p: [forbid_delete("Unemp", p)], (unemployed[-1],),
+         each(unemployed[:-1]), "template"),
+        (workload, lambda p: [want_insert("Ic1", p)], (employed[-1],),
+         each(employed[:-1]), "template"),
+        (workload, lambda p: [want_delete("Ic1", p)], (violators[0],),
+         each(violators[1:]), "template"),
+        (workload, lambda p: [forbid_insert("Ic1", p),
+                              want_insert("Unemp", p)], (employed[0],),
+         each(employed[1:]), "template"),
+        # Repeated constants: P(a, a) and P(a, b) are different shapes.
+        (pairs, lambda a, b: [want_insert("P", a, b)], ("A", "A"),
+         [("B", "C")], "unfold"),
+        (pairs, lambda a, b: [want_insert("P", a, b)], ("A", "A"),
+         [("B", "B")], "template"),
+        (pairs, lambda a, b: [want_insert("P", a, b)], ("C", "A"),
+         [("D", "B")], "template"),
+        (equal_args, lambda a, b: [want_insert("P", a, b)], ("A", "A"),
+         [("C", "D")], "unfold"),
+        (equal_args, lambda a, b: [want_insert("P", a, b)], ("A", "B"),
+         [("C", "D")], "template"),
+        (distinct, lambda a, b: [want_delete("P", a, b)], ("A", "B"),
+         [("B", "C")], "template"),
+        (distinct, lambda a, b: [want_insert("P", a, b)], ("A", "A"),
+         [("B", "B"), ("C", "D")], "template"),
+        # A request constant that a rule mentions.
+        (rule_constant, lambda c: [want_insert("P", c)], ("A",), [("C",)],
+         "untemplated"),
+        (rule_constant, lambda c: [want_insert("P", c)], ("C",), [("D",)],
+         "template"),
+        # The recursive view enumerates: never templated.
+        (PATH, lambda a, b: [want_insert("Path", a, b)], ("A", "D"),
+         [("B", "D")], "untemplated"),
+        (PATH, lambda a, b: [want_delete("Path", a, b)], ("A", "C"),
+         [("B", "C")], "untemplated"),
+    ]
+
+
+TEMPLATE_CASES = _template_cases()
+
+
+class TestDownwardTemplates:
+    """A fresh interpreter compiles its own program, so its first request
+    is always the unfold; a warm one that served the shape with other
+    constants answers from the template and must agree exactly."""
+
+    OPTIONS = DownwardOptions(max_depth=8, on_depth_limit="prune")
+
+    @pytest.mark.parametrize("index", range(len(TEMPLATE_CASES)))
+    def test_warm_template_matches_a_cold_unfold(self, index):
+        source, build, target, warm, path = TEMPLATE_CASES[index]
+        db = _database(source)
+        interpreter = DownwardInterpreter(db, options=self.OPTIONS)
+        for args in warm:
+            interpreter.interpret(build(*args))
+        served = interpreter.interpret(build(*target))
+        cold = DownwardInterpreter(db, options=self.OPTIONS).interpret(
+            build(*target))
+        assert cold.stats.path in ("unfold", "untemplated")
+        assert served.stats.path == path
+        assert served.dnf == cold.dnf
+        assert served.dnf.minimal == cold.dnf.minimal
+        assert served.translations == cold.translations
+        assert served.already_satisfied == cold.already_satisfied
+        assert served.to_dict() == cold.to_dict()
+
+    def test_rule_constant_template_would_be_wrong(self):
+        # Reusing P(C)'s template for P(A) would lose the P(A) <- R(A) rule.
+        interpreter = DownwardInterpreter(DeductiveDatabase.from_source("""
+            Q(B). R(Z).
+            P(x) <- Q(x).
+            P(A) <- R(A).
+        """))
+        interpreter.interpret(want_insert("P", "C"))
+        assert Transaction([insert("R", "A")]) \
+            in interpreter.interpret(want_insert("P", "A")).transactions()
+
+    def test_a_hit_reports_only_its_probes(self, employment_db):
+        interpreter = DownwardInterpreter(employment_db)
+        interpreter.interpret(want_delete("Unemp", "Dolors"))
+        hit = interpreter.interpret(want_delete("Unemp", "Dolors")).stats
+        assert (hit.templated, hit.untemplated) == (1, 0)
+        assert 0 < hit.old_queries <= 3
+        assert hit.descents == hit.disjuncts_explored == hit.enumerations == 0
+
+    def test_templates_outlive_the_interpreter(self):
+        from repro.core.processor import UpdateProcessor
+        from repro.workloads import employment_database
+
+        processor = UpdateProcessor(employment_database(20, seed=3))
+        first, second = sorted(
+            row[0] for row in processor.db.query("Unemp(x)"))[:2]
+        assert processor.downward(want_delete("Unemp", first)).stats.path \
+            == "unfold"
+        processor.invalidate_state_caches()
+        assert processor.downward(want_delete("Unemp", second)).stats.path \
+            == "template"
+
+    def test_options_do_not_share_templates(self, employment_db):
+        shallow = DownwardOptions(max_depth=1, on_depth_limit="prune")
+        interpreter = DownwardInterpreter(employment_db)
+        request = want_delete("Unemp", "Dolors")
+        interpreter.interpret(request)
+        other = DownwardInterpreter(employment_db, program=interpreter.program,
+                                    options=shallow)
+        result = other.interpret(request)
+        assert result.stats.path == "unfold"
+        assert result.to_dict() == DownwardInterpreter(
+            employment_db, options=shallow).interpret(request).to_dict()
+
+    @pytest.mark.parametrize("mode", ["advance", "invalidate", "counting"])
+    def test_engine_templates_survive_a_commit(self, tmp_path, mode):
+        from repro.events.events import parse_transaction
+        from repro.server.engine import DatabaseEngine
+        from repro.workloads import employment_database
+
+        db = employment_database(30, seed=7)
+        first, second = sorted(row[0] for row in db.query("Unemp(x)"))[:2]
+        engine = DatabaseEngine.open(tmp_path / "db", initial=db,
+                                     cache_mode=mode)
+        try:
+            request = [want_delete("Unemp", first)]
+            assert engine.downward(request).stats.path == "unfold"
+            engine.commit(parse_transaction(f"insert Works({first})"))
+            # Unemp(first) no longer holds: a new branch of the same trie.
+            served = engine.downward(request)
+            assert served.stats.path == "unfold" and served.dnf.is_true
+            assert served.to_dict() \
+                == DownwardInterpreter(engine.db).interpret(request).to_dict()
+            # The branch recorded before the commit is still there.
+            other = [want_delete("Unemp", second)]
+            kept = engine.downward(other)
+            assert kept.stats.path == "template"
+            assert kept.to_dict() \
+                == DownwardInterpreter(engine.db).interpret(other).to_dict()
+            counters = engine.stats()["counters"]
+            assert counters["downward.template_misses"] == 2
+            assert counters["downward.template_hits"] == 1
+            assert "downward.untemplated" not in counters
+        finally:
+            engine.close()

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.datalog import DeductiveDatabase
+from repro.datalog.errors import ComplexityLimitExceeded
 from repro.datalog.parser import parse_rule
 from repro.datalog.rules import Atom, Literal
 from repro.datalog.terms import Constant
@@ -23,6 +24,7 @@ from repro.events.events import Event, Transaction, parse_transaction
 from repro.events.naming import EventKind
 from repro.interpretations import (
     DownwardInterpreter,
+    DownwardOptions,
     UpwardInterpreter,
     UpwardOptions,
     naive_changes,
@@ -176,6 +178,57 @@ class TestDownwardSoundness:
             achieved = induced.insertions_of(view) if kind == "ins" \
                 else induced.deletions_of(view)
             assert row in achieved
+
+    @given(db=databases(), data=st.data(),
+           kind=st.sampled_from(["ins", "del"]), positive=st.booleans(),
+           pair=st.tuples(st.sampled_from(CONSTANTS),
+                          st.sampled_from(CONSTANTS)))
+    @settings(max_examples=80, deadline=None)
+    def test_templated_translations_induce_the_request(self, db, data, kind,
+                                                       positive, pair):
+        """Served warm -- after the request's shape was interpreted for
+        every other constant -- each translation, applied to a copy and
+        re-read upward by the naive oracle, induces the requested event
+        (or, for a negative request, does not), and the reply is a cold
+        unfold's."""
+        arity = {rule.head.predicate: rule.head.arity for rule in db.rules}
+        view = data.draw(st.sampled_from(sorted(arity)))
+        target = pair[:arity[view]]
+
+        def request(args):
+            literal = want_insert(view, *args) if kind == "ins" \
+                else want_delete(view, *args)
+            return literal if positive else literal.negate()
+
+        # Negating a large DNF is bounded: past the bound both a warm and
+        # a cold interpreter refuse the request alike.
+        options = DownwardOptions(max_disjuncts=500)
+
+        def serve(interpreter, args):
+            try:
+                return interpreter.interpret(request(args))
+            except ComplexityLimitExceeded:
+                return None
+
+        interpreter = DownwardInterpreter(db, options=options)
+        for args in itertools.product(CONSTANTS, repeat=arity[view]):
+            if args != target:
+                serve(interpreter, args)
+        result = serve(interpreter, target)
+        cold = serve(DownwardInterpreter(db, options=options), target)
+        assert (result is None) == (cold is None)
+        if result is None:
+            return
+        event(result.stats.path)
+        assert result.to_dict() == cold.to_dict()
+        if result.dnf.is_true:
+            return
+        row = tuple(Constant(c) for c in target)
+        for translation in result.translations:
+            induced = naive_changes(db, translation.transaction)
+            achieved = induced.insertions_of(view) if kind == "ins" \
+                else induced.deletions_of(view)
+            assert (row in achieved) == positive
 
     @given(db=databases(), constant=st.sampled_from(CONSTANTS))
     @settings(max_examples=50, deadline=None)
