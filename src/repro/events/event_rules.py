@@ -127,6 +127,11 @@ class TransitionProgram:
     #: live as long as the program, across every fact-level change.
     downward_templates: dict = field(default_factory=dict, init=False,
                                      compare=False, repr=False)
+    #: The counting engine's upward templates, per transaction shape
+    #: (:mod:`repro.interpretations.counting`); built lazily, like
+    #: :attr:`downward_templates`.
+    upward_templates: dict = field(default_factory=dict, init=False,
+                                   compare=False, repr=False)
 
     @cached_property
     def constants(self) -> frozenset[Constant]:

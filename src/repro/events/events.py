@@ -15,12 +15,11 @@ normalise by default so that the event rules' preconditions hold.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.datalog.errors import ParseError, TransactionError
-from repro.datalog.parser import parse_atom
+from repro.datalog.errors import TransactionError
+from repro.datalog.parser import parse_events
 from repro.datalog.rules import Atom
 from repro.datalog.terms import Constant
 from repro.events.naming import EventKind
@@ -38,8 +37,10 @@ class Event:
     args: tuple[Constant, ...] = ()
 
     def __post_init__(self) -> None:
-        if not all(isinstance(a, Constant) for a in self.args):
-            raise TransactionError(f"event arguments must be constants: {self}")
+        for arg in self.args:
+            if not isinstance(arg, Constant):
+                raise TransactionError(
+                    f"event arguments must be constants: {self}")
 
     @property
     def is_insertion(self) -> bool:
@@ -131,12 +132,15 @@ class Transaction:
 
     def __init__(self, events: Iterable[Event] = ()):
         event_set = frozenset(events)
-        for event in event_set:
-            if event.opposite() in event_set:
-                raise TransactionError(
-                    f"transaction both inserts and deletes {event.atom()}"
-                )
-        object.__setattr__(self, "_events", event_set)
+        inserted = {(e.predicate, e.args) for e in event_set if e.is_insertion}
+        if 0 < len(inserted) < len(event_set):
+            for event in event_set:
+                if not event.is_insertion \
+                        and (event.predicate, event.args) in inserted:
+                    raise TransactionError(
+                        f"transaction both inserts and deletes {event.atom()}"
+                    )
+        self._events = event_set
 
     # -- set-like interface ---------------------------------------------------
 
@@ -190,8 +194,12 @@ class Transaction:
                 )
 
     def normalized(self, db: "DeductiveDatabase") -> "Transaction":
-        """Drop events that are no-ops in the given state (see module doc)."""
-        return Transaction(e for e in self._events if not e.is_noop_in(db))
+        """Drop events that are no-ops in the given state (see module doc);
+        a transaction without any is returned as it is."""
+        kept = [e for e in self._events if not e.is_noop_in(db)]
+        if len(kept) == len(self._events):
+            return self
+        return Transaction(kept)
 
     def apply_to(self, db: "DeductiveDatabase") -> "DeductiveDatabase":
         """Return the new state ``Dn = D ⊕ T`` (the input is not mutated)."""
@@ -250,53 +258,14 @@ def transaction_between(old: "DeductiveDatabase",
     return Transaction(events)
 
 
-_EVENT_RE = re.compile(
-    r"^\s*(?P<op>insert|delete|ins|del|ι|δ)\s*(?P<atom>.+?)\s*$"
-)
-
-_INSERT_OPS = {"insert", "ins", "ι"}
-
-
-def _split_outside_parens(text: str) -> list[str]:
-    """Split on top-level ',' or ';' (commas inside '()' are argument commas)."""
-    pieces: list[str] = []
-    depth = 0
-    start = 0
-    for index, char in enumerate(text):
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif char in ",;" and depth == 0:
-            pieces.append(text[start:index])
-            start = index + 1
-    pieces.append(text[start:])
-    return pieces
-
-
 def parse_transaction(source: str) -> Transaction:
     """Parse ``"insert P(A), delete R(B)"`` (also ``ins``/``del``/``ι``/``δ``).
 
-    Surrounding braces are ignored, so the paper's ``{δR(B)}`` notation works
-    verbatim.
+    Events are separated by ``,`` or ``;`` and may be wrapped in braces, so
+    the paper's ``{δR(B)}`` notation works verbatim; the grammar is
+    :func:`repro.datalog.parser.parse_events`.
     """
-    text = source.strip()
-    if text.startswith("{") and text.endswith("}"):
-        text = text[1:-1].strip()
-    if not text:
-        return Transaction()
-    events: list[Event] = []
-    for piece in _split_outside_parens(text):
-        piece = piece.strip()
-        if not piece:
-            continue
-        match = _EVENT_RE.match(piece)
-        if match is None:
-            raise ParseError(f"cannot parse transaction item: {piece!r}")
-        kind = EventKind.INSERTION if match.group("op") in _INSERT_OPS \
-            else EventKind.DELETION
-        target = parse_atom(match.group("atom"))
-        if not target.is_ground():
-            raise ParseError(f"transaction events must be ground: {piece!r}")
-        events.append(Event(kind, target.predicate, tuple(target.args)))  # type: ignore[arg-type]
-    return Transaction(events)
+    return Transaction(
+        Event(EventKind.INSERTION if inserts else EventKind.DELETION,
+              predicate, args)
+        for inserts, predicate, args in parse_events(source))

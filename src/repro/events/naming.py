@@ -36,6 +36,10 @@ class EventKind(Enum):
     INSERTION = "insertion"
     DELETION = "deletion"
 
+    #: Members are singletons, so identity hashing is exact; it spares
+    #: every event-set operation Enum's Python-level ``__hash__``.
+    __hash__ = object.__hash__
+
     @property
     def symbol(self) -> str:
         """The paper's one-character notation."""

@@ -9,29 +9,15 @@ factored here so every entry point parses requests identically.
 from __future__ import annotations
 
 from repro.datalog.errors import DatalogError
-from repro.datalog.parser import parse_atom
+from repro.datalog.parser import parse_request_parts
 from repro.datalog.rules import Atom, Literal
 from repro.events.naming import del_name, ins_name, parse_prefixed
 
 
 def parse_request(text: str) -> Literal:
     """Parse ``"ins P(A)"`` / ``"del P(A)"`` / ``"not ins P(A)"``."""
-    text = text.strip()
-    positive = True
-    if text.startswith("not "):
-        positive = False
-        text = text[4:].strip()
-    if text.startswith("ins "):
-        name_of = ins_name
-        text = text[4:]
-    elif text.startswith("del "):
-        name_of = del_name
-        text = text[4:]
-    else:
-        raise DatalogError(
-            f"request must start with 'ins' or 'del' (optionally 'not'): {text!r}"
-        )
-    target = parse_atom(text.strip())
+    positive, namespace, target = parse_request_parts(text)
+    name_of = ins_name if namespace == "ins" else del_name
     return Literal(Atom(name_of(target.predicate), target.args), positive)
 
 

@@ -137,6 +137,10 @@ class StateMaintainer(ABC):
         #: Observability hook: called with an event kind ("bootstrap",
         #: "rederive", ...) when the strategy does notable work.
         self.on_event: Callable[[str], None] | None = None
+        #: Observability hook: called with the path (``template``,
+        #: ``delta`` or ``untemplated``) of each upward interpretation a
+        #: counting strategy computes.
+        self.on_upward: Callable[[str], None] | None = None
 
     # -- shared plumbing -------------------------------------------------------
 
@@ -364,7 +368,10 @@ class CountingMaintainer(StateMaintainer):
     # -- engine hooks ----------------------------------------------------------
 
     def whatif(self, transaction: Transaction) -> CountedResult:
-        return self.counting_engine().delta(transaction)[0]
+        result = self.counting_engine().delta(transaction)[0]
+        if self.on_upward is not None:
+            self.on_upward(result.path)
+        return result
 
     def check(self, transaction: Transaction) -> "ICCheckResult":
         return self.check_full(transaction)[0]

@@ -353,6 +353,11 @@ _DOWNWARD_PATHS = {"template": "downward.template_hits",
                    "unfold": "downward.template_misses",
                    "untemplated": "downward.untemplated"}
 
+#: The engine counter of each ``CountedResult.path``.
+_UPWARD_PATHS = {"template": "upward.template_hits",
+                 "delta": "upward.template_misses",
+                 "untemplated": "upward.untemplated"}
+
 
 class _Pending:
     """One queued commit awaiting its batch."""
@@ -458,6 +463,7 @@ class DatabaseEngine:
         self._maintainer = create_maintainer(self._cache_mode,
                                              self._processor)
         self._maintainer.on_event = self._record_ivm_event
+        self._maintainer.on_upward = self._record_upward
         if isinstance(self._maintainer, CountingMaintainer):
             # Eager bootstrap: pay the one-time count materialisation at
             # open (and fail fast on recursive programs), then record the
@@ -505,6 +511,14 @@ class DatabaseEngine:
         """Maintainer hook -> ``ivm.*`` metrics (bootstrap, rederive...)."""
         self.metrics.increment(f"ivm.{kind}")
         obs.add(f"ivm.{kind}")
+
+    def _record_upward(self, path: str) -> None:
+        """Maintainer hook -> ``upward.*`` metrics; names the path on the
+        ``engine.whatif`` span when a what-if (not a commit) asked."""
+        self.metrics.increment(_UPWARD_PATHS[path])
+        span = obs.current_span()
+        if span.name == "engine.whatif":
+            span.set(path=path)
 
     @classmethod
     def open(cls, directory, initial=None, *,
@@ -655,8 +669,10 @@ class DatabaseEngine:
         interpretation of a hypothetical transaction onto the op's reply.
 
         A maintainer with pure what-ifs is read under the read lock alone
-        (after the same warm-once as ``query``); the others answer
-        through the processor's memoising interpreter, one at a time.
+        (after the same warm-once as ``query``), and its hook names the
+        span's ``path`` (``template`` / ``delta`` / ``untemplated``); the
+        others answer through the processor's memoising interpreter, one
+        at a time, on ``path=processor``.
         """
         self._ensure_open()
         maintainer = self._maintainer
@@ -669,7 +685,7 @@ class DatabaseEngine:
                     return answer(maintainer)
             warmed = self._warm_maintainer("whatif.warmups")
             if obs.enabled():
-                span.set(op=op, path="warmup" if warmed else "maintained")
+                span.set(op=op, warmup=warmed)
             return answer(maintainer)
 
     def check(self, transaction: Transaction) -> ICCheckResult:

@@ -103,6 +103,37 @@ class TestTransactionSemantics:
         t = Transaction([insert("Q", "A"), insert("Q", "B"), delete("Q", "Z")])
         assert t.normalized(db) == Transaction([insert("Q", "B")])
 
+    def test_normalized_keeps_a_transaction_without_noops(self):
+        db = DeductiveDatabase.from_source("Q(A).")
+        t = Transaction([delete("Q", "A"), insert("Q", "B")])
+        assert t.normalized(db) is t
+
+    @pytest.mark.parametrize("op, params", [
+        ("check", {"transaction": "insert La(W1), insert Works(W1)"}),
+        ("upward", {"transaction": "insert U_benefit(W2)"}),
+        ("monitor", {"transaction": "insert La(W3)",
+                     "conditions": ["Unemp"]}),
+    ])
+    def test_a_whatif_builds_one_transaction(self, tmp_path, monkeypatch,
+                                             op, params):
+        from repro.requests import UpdateRequest
+        from repro.server.engine import DatabaseEngine
+        from repro.workloads import employment_database
+
+        engine = DatabaseEngine.open(
+            tmp_path / "db", initial=employment_database(20, seed=1),
+            cache_mode="counting")
+        try:
+            built = []
+            original = Transaction.__init__
+            monkeypatch.setattr(Transaction, "__init__",
+                                lambda self, *args: built.append(args)
+                                or original(self, *args))
+            UpdateRequest.of(op, params).execute(engine)
+            assert len(built) == 1  # the parse; normalising keeps it
+        finally:
+            engine.close(checkpoint=False)
+
 
 class TestParseTransaction:
     def test_paper_notation(self):

@@ -107,7 +107,7 @@ class TestEngineQuerySpan:
 
 
 class TestEngineWhatifSpan:
-    """``engine.whatif`` names the op and who answered it."""
+    """``engine.whatif`` names the op and how the counts answered it."""
 
     OPS = ("check", "upward", "monitor")
 
@@ -131,14 +131,22 @@ class TestEngineWhatifSpan:
                         root = tracer.last_root
                         assert root.name == "engine.whatif"
                         seen.append((root.attributes["op"],
-                                     root.attributes["path"]))
-            assert seen == [("check", "maintained"), ("upward", "maintained"),
-                            ("monitor", "maintained"), ("check", "warmup"),
-                            ("upward", "maintained"),
-                            ("monitor", "maintained")]
+                                     root.attributes["path"],
+                                     root.attributes["warmup"]))
+            # The first what-if of the shape runs the delta rules; every
+            # later one, across the checkpoint's rebuild of the counts,
+            # is answered by the shape's template.
+            assert seen == [("check", "delta", False),
+                            ("upward", "template", False),
+                            ("monitor", "template", False),
+                            ("check", "template", True),
+                            ("upward", "template", False),
+                            ("monitor", "template", False)]
             assert tracer.count("upward.interpret") == 0
             counters = engine.stats()["counters"]
             assert counters["whatif.warmups"] == 1
+            assert counters["upward.template_misses"] == 1
+            assert counters["upward.template_hits"] == 5
             assert not engine.commit(
                 parse_transaction("insert La(Nobody)")).applied
             assert engine.stats()["counters"]["commit.rejected_fast"] == 1
