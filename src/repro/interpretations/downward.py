@@ -352,6 +352,11 @@ class _Template(NamedTuple):
 
 _UNTEMPLATED = object()  # a shape whose unfold enumerates
 
+#: Most request shapes templated per option set; further shapes are
+#: unfolded unrecorded, so clients sending ever new shapes cannot grow the
+#: server without limit.
+_MAX_SHAPES = 256
+
 
 # -- the interpreter --------------------------------------------------------------
 
@@ -486,8 +491,10 @@ class DownwardInterpreter:
                 if isinstance(term, Constant) and term not in slots:
                     slots[term] = Variable(f"%{len(slots)}")
         shape = tuple(rename_terms(literal, slots) for literal in literals)
-        trie = self._templates.setdefault(shape, {})
-        if trie is _UNTEMPLATED \
+        trie = self._templates.get(shape)
+        if trie is None and len(self._templates) < _MAX_SHAPES:
+            trie = self._templates.setdefault(shape, {})
+        if trie is None or trie is _UNTEMPLATED \
                 or not self._request_constants.isdisjoint(self._program.constants):
             self.stats.untemplated = 1
             return self._unfold(literals)

@@ -754,6 +754,27 @@ class TestDownwardTemplates:
         assert processor.downward(want_delete("Unemp", second)).stats.path \
             == "template"
 
+    def test_shapes_stop_at_the_bound(self):
+        from itertools import combinations
+
+        from repro.interpretations.downward import _MAX_SHAPES
+
+        names = [f"B{i}" for i in range(9)]
+        interpreter = DownwardInterpreter(DeductiveDatabase.from_source(
+            " ".join(f"P{i}(x) <- {name}(x)." for i, name in
+                     enumerate(names))))
+        subsets = [subset for size in range(1, len(names) + 1)
+                   for subset in combinations(range(len(names)), size)]
+        paths = [interpreter.interpret(
+                     [want_insert(f"P{i}", f"C{i}") for i in subset]
+                 ).stats.path
+                 for subset in subsets[:_MAX_SHAPES + 20]]
+        assert len(interpreter._templates) == _MAX_SHAPES
+        assert paths == ["unfold"] * _MAX_SHAPES + ["untemplated"] * 20
+        result = interpreter.interpret(want_insert("P0", "New"))
+        assert result.stats.path == "template"
+        assert result.transactions() == (Transaction([insert("B0", "New")]),)
+
     def test_options_do_not_share_templates(self, employment_db):
         shallow = DownwardOptions(max_depth=1, on_depth_limit="prune")
         interpreter = DownwardInterpreter(employment_db)
