@@ -1,15 +1,15 @@
-"""An active database: triggers, cascades and an undo journal.
+"""Reordering on low stock, and an undo journal.
 
-Inventory management where low-stock conditions automatically reorder,
-powered by the upward interpretation deciding which conditions changed
-(Section 5.1.2 turned into an active-rule engine), with a journal providing
+Inventory management where a sale that makes stock low is followed by a
+reorder.  Condition monitoring (Section 5.1.2), the upward interpretation of
+``ιLowStock``, decides which products a sale makes low; a journal provides
 exact undo.
 
 Run:  python examples/active_inventory.py
 """
 
-from repro import DeductiveDatabase, Transaction, delete, insert
-from repro.core import ActiveDatabase, Journal
+from repro import DeductiveDatabase, Transaction, UpdateProcessor, delete, insert
+from repro.core import Journal
 
 
 def build_inventory() -> DeductiveDatabase:
@@ -22,41 +22,35 @@ def build_inventory() -> DeductiveDatabase:
     """)
 
 
+def reorder(db: DeductiveDatabase, product: str) -> Transaction:
+    """Raise *product*'s stock by 50."""
+    (current,) = (n.value for p, n in db.facts_of("Stock")
+                  if p.value == product)
+    print(f"  -> reordering {product} (stock {current})")
+    return Transaction([delete("Stock", product, current),
+                        insert("Stock", product, current + 50)])
+
+
 def main() -> None:
     db = build_inventory()
-    active = ActiveDatabase(db)
-
-    reorders: list[str] = []
-
-    def reorder(row, _transaction) -> Transaction:
-        product = row[0].value
-        reorders.append(product)
-        current = next(iter(
-            n.value for p, n in
-            ((r[0], r[1]) for r in db.facts_of("Stock")) if p.value == product
-        ))
-        print(f"  -> trigger: reordering {product} (stock {current})")
-        return Transaction([delete("Stock", product, current),
-                            insert("Stock", product, current + 50)])
-
-    active.on_activate("LowStock", action=reorder, name="auto-reorder")
-    active.on_deactivate("LowStock",
-                         action=lambda row, t: print(
-                             f"  -> trigger: {row[0]} back to normal") or None,
-                         name="all-clear")
+    processor = UpdateProcessor(db)
 
     print("initial low stock:", db.query("LowStock(p)"))
 
-    # Gear is already low but pre-existing states don't fire triggers --
-    # only *transitions* do (the event rules define transitions).  Sell
-    # enough widgets to cross the threshold:
+    # Gear is already low, but only a *transition* into LowStock reorders
+    # (the event rules define transitions).  Sell enough widgets to cross
+    # the threshold:
     print("\nselling 5 widgets…")
-    trace = active.execute(Transaction([
-        delete("Stock", "Widget", 8), insert("Stock", "Widget", 3)]))
-    for firing in trace.firings:
-        print(f"  fired: {firing}")
-    print(f"rounds: {trace.rounds};  widget stock now: "
-          f"{db.query('Stock(Widget, n)')}")
+    sale = Transaction([delete("Stock", "Widget", 8),
+                        insert("Stock", "Widget", 3)])
+    changes = processor.monitor(sale, ["LowStock"])
+    print(f"  monitored: {changes}")
+    processor.execute(sale)
+    reorders = sorted(row[0].value
+                      for row in changes.activated.get("LowStock", ()))
+    for product in reorders:
+        processor.execute(reorder(db, product))
+    print(f"widget stock now: {db.query('Stock(Widget, n)')}")
     assert reorders == ["Widget"]
     assert db.query("LowStock(Widget)") == []
 

@@ -10,8 +10,11 @@ Run:  python examples/materialized_warehouse.py
 import random
 import time
 
-from repro import DeductiveDatabase, MaterializedViewStore, Transaction, insert
+from repro import DeductiveDatabase, Transaction, insert
 from repro.datalog.evaluation import BottomUpEvaluator
+from repro.interpretations import CountingEngine
+
+VIEWS = ("Pending", "ActiveCustomer")
 
 
 def build_warehouse(n_customers: int = 60, n_orders: int = 300,
@@ -37,10 +40,10 @@ def build_warehouse(n_customers: int = 60, n_orders: int = 300,
 
 def main() -> None:
     db = build_warehouse()
-    store = MaterializedViewStore(db, ["Pending", "ActiveCustomer"])
+    engine = CountingEngine(db)
     print(f"warehouse: {db.fact_count()} facts, "
-          f"{len(store.extension('Pending'))} pending orders, "
-          f"{len(store.extension('ActiveCustomer'))} active customers")
+          f"{len(engine.extension('Pending'))} pending orders, "
+          f"{len(engine.extension('ActiveCustomer'))} active customers")
 
     rng = random.Random(99)
     incremental_time = 0.0
@@ -52,7 +55,7 @@ def main() -> None:
             if step % 3 else Transaction([insert("Shipped", f"Ord{step}")])
 
         start = time.perf_counter()
-        changed = store.apply(transaction)
+        result = engine.apply(transaction)
         incremental_time += time.perf_counter() - start
 
         start = time.perf_counter()
@@ -60,13 +63,17 @@ def main() -> None:
         evaluator.materialize()
         recompute_time += time.perf_counter() - start
 
-        if changed:
-            summary = {view: (len(ins), len(dels))
-                       for view, (ins, dels) in changed.items()}
+        summary = {view: (len(result.insertions_of(view)),
+                          len(result.deletions_of(view)))
+                   for view in VIEWS
+                   if result.insertions_of(view) or result.deletions_of(view)}
+        if summary:
             print(f"  step {step:2d}: {transaction}  ->  deltas {summary}")
 
-    report = store.verify()
-    print(f"\nstore verified against recomputation: {report.ok}")
+    ok = all(engine.extension(view) == evaluator.extension(view)
+             for view in VIEWS)
+    print(f"\nmaintained views agree with recomputation: {ok}")
+    assert ok
     print(f"incremental maintenance: {incremental_time * 1000:.1f} ms total; "
           f"full recomputation would have been {recompute_time * 1000:.1f} ms")
 

@@ -9,13 +9,13 @@ A complete, executable reproduction of
 Layers (bottom-up):
 
 - :mod:`repro.datalog` -- the deductive-database substrate (parser,
-  stratified evaluation, top-down prover, storage);
+  stratified evaluation, storage);
 - :mod:`repro.events` -- events, transition rules and event rules (§3);
 - :mod:`repro.interpretations` -- the upward and downward interpretations
   (§4) plus the naive change-computation oracle;
 - :mod:`repro.problems` -- every updating problem of §5 as a thin
   specification over the interpretations, and the Table 4.1 classification;
-- :mod:`repro.core` -- the update-processing façade, materialized views,
+- :mod:`repro.core` -- the update-processing façade, durable storage,
   repair loops and schema updates;
 - :mod:`repro.workloads` -- synthetic workload generators for benchmarks.
 
@@ -70,7 +70,6 @@ from repro.interpretations import (
     want_insert,
 )
 from repro.core import (
-    MaterializedViewStore,
     UpdateProcessor,
     apply_schema_update,
     repair_to_consistency,
@@ -118,7 +117,6 @@ __all__ = [
     "HelloRequest",
     "ICCheckResult",
     "Literal",
-    "MaterializedViewStore",
     "MonitorRequest",
     "PingRequest",
     "QueryRequest",

@@ -6,8 +6,6 @@ updates".  This package is that system:
 
 - :mod:`repro.core.processor` -- :class:`UpdateProcessor`, the façade that
   exposes every Section 5 problem over one compiled transition program;
-- :mod:`repro.core.materialized` -- a stateful materialized-view store kept
-  in sync by the upward interpretation;
 - :mod:`repro.core.repair_loop` -- iterated integrity maintenance until a
   consistent fixpoint;
 - :mod:`repro.core.schema_updates` -- updates of deductive rules and
@@ -20,26 +18,20 @@ from repro.core.maintenance import (
     maintain_iteratively,
     translate_with_maintenance,
 )
-from repro.core.materialized import MaterializedViewStore
-from repro.core.triggers import ActiveDatabase, Trigger, TriggerLoopError
 from repro.core.history import Journal, JournalEntry, inverse_of
 from repro.core.durable import DurableDatabase
 from repro.core.repair_loop import RepairLoopResult, repair_to_consistency
 from repro.core.schema_updates import SchemaUpdateResult, apply_schema_update
 
 __all__ = [
-    "ActiveDatabase",
     "DurableDatabase",
     "Journal",
     "JournalEntry",
     "MaintenanceResult",
-    "MaterializedViewStore",
     "RepairLoopResult",
     "SchemaUpdateResult",
     "UpdateProcessor",
     "apply_schema_update",
-    "Trigger",
-    "TriggerLoopError",
     "inverse_of",
     "maintain_iteratively",
     "translate_with_maintenance",

@@ -13,7 +13,6 @@ package provides all of it:
   analysis and stratification,
 - :mod:`repro.datalog.evaluation` -- naive and semi-naive bottom-up
   evaluation with stratified negation,
-- :mod:`repro.datalog.topdown` -- a goal-directed SLDNF-flavoured prover,
 - :mod:`repro.datalog.database` -- the deductive database ``D = (F, DR, IC)``.
 """
 
@@ -34,8 +33,6 @@ from repro.datalog.parser import parse_atom, parse_literal, parse_program, parse
 from repro.datalog.database import DeductiveDatabase, Schema
 from repro.datalog.evaluation import BottomUpEvaluator, EvaluationStats
 from repro.datalog.stratify import Stratification, stratify
-from repro.datalog.magic import MagicProgram, magic_answers, magic_rewrite
-from repro.datalog.topdown import TopDownProver
 
 __all__ = [
     "ArityError",
@@ -48,7 +45,6 @@ __all__ = [
     "DomainError",
     "EvaluationStats",
     "Literal",
-    "MagicProgram",
     "ParseError",
     "Rule",
     "SafetyError",
@@ -56,15 +52,12 @@ __all__ = [
     "Stratification",
     "StratificationError",
     "Term",
-    "TopDownProver",
     "TransactionError",
     "UnknownPredicateError",
     "Variable",
     "atom",
     "const",
     "fact",
-    "magic_answers",
-    "magic_rewrite",
     "neg",
     "parse_atom",
     "parse_literal",

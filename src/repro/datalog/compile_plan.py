@@ -30,8 +30,8 @@ of tuples:
 ``BottomUpEvaluator(engine="compiled")``; the tuple-at-a-time interpreter
 remains available as ``engine="interpreted"`` and serves as the
 differential-testing oracle (see ``tests/test_compiled_eval.py``).  The
-same planner orders the counting maintainer's delta-rule bodies and the
-magic-rewritten programs' adorned rules.  See docs/EVALUATION.md.
+same planner orders the counting maintainer's delta-rule bodies.  See
+docs/EVALUATION.md.
 """
 
 from __future__ import annotations

@@ -433,7 +433,7 @@ class BottomUpEvaluator:
         with obs.span("eval.materialize") as root:
             for index, stratum in enumerate(self._stratification.strata):
                 # Stratum 0 is normally rule-free (base predicates), but ground
-                # bodiless rules -- e.g. magic seeds -- land there and must fire.
+                # bodiless rules land there and must fire.
                 stratum_rules = [r for r in self._rules
                                  if r.head.predicate in stratum]
                 if not stratum_rules:

@@ -1,7 +1,7 @@
 """State maintainers: one name per strategy for keeping derived state warm.
 
 The serving engine used to hard-code ``if cache_mode == ...`` branches for
-its two cache strategies.  This module turns the strategy into a first-class
+its three cache strategies.  This module turns the strategy into a first-class
 object: a :class:`StateMaintainer` owns the derived state of one
 :class:`~repro.core.processor.UpdateProcessor` and exposes a uniform
 protocol --

@@ -5,9 +5,9 @@ stored extension of a materialized view in sync: the upward interpretation
 of ``ιView(x)`` (rows to insert into the materialisation) and ``δView(x)``
 (rows to delete).
 
-This module computes the *deltas*; the stateful store that applies them
-(and verifies them against recomputation) is
-:class:`repro.core.materialized.MaterializedViewStore`.
+This module computes the *deltas*; the stateful engine that applies them
+is the counting maintainer,
+:class:`repro.interpretations.counting.CountingEngine`.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ from repro.datalog import DeductiveDatabase
 from repro.datalog.builtins import evaluate_builtin, is_builtin
 from repro.datalog.errors import ArityError, SafetyError
 from repro.datalog.evaluation import BottomUpEvaluator
-from repro.datalog.parser import parse_atom, parse_literal, parse_rule
+from repro.datalog.parser import parse_literal, parse_rule
 from repro.datalog.terms import Constant
-from repro.datalog.topdown import TopDownProver
 from repro.events.events import Transaction, delete, insert
 from repro.events.transition import compile_transition_rule
 from repro.interpretations import (
@@ -101,13 +100,6 @@ class TestEvaluation:
         ev = BottomUpEvaluator(db, db.all_rules())
         assert (Constant("Grace"), Constant("Alan")) in ev.extension("Beats")
         assert (Constant("Alan"), Constant("Grace")) not in ev.extension("Beats")
-
-    def test_top_down_agrees(self):
-        db = DeductiveDatabase.from_source(self.SOURCE)
-        prover = TopDownProver(db, db.all_rules())
-        assert prover.holds(parse_literal("Pair(A, B)"))
-        assert not prover.holds(parse_literal("Pair(A, A)"))
-        assert len(prover.answers(parse_atom("Pair(x, y)"))) == 6
 
     def test_unsafe_builtin_only_query(self):
         db = DeductiveDatabase.from_source(self.SOURCE)

@@ -3,11 +3,9 @@
 The headline property: on arbitrary stratified programs the compiled
 closure-chain engine computes exactly the same perfect model as the
 tuple-at-a-time interpreter in both its naive and semi-naive iteration
-modes, and the magic rewrite evaluated compiled agrees with full compiled
-evaluation.  Alongside it, regression tests for the latent bugs fixed in
-the same change:
+modes.  Alongside it, regression tests for the latent bugs fixed in the
+same change:
 
-- ``magic_answers`` ignored repeated variables in the query atom;
 - ``Relation.add``/``discard`` dropped every column index per mutation;
 - arity-mismatched patterns silently matched by ``zip`` truncation;
 - ``materialize()`` returned a ``Materialization`` aliasing live stats.
@@ -16,13 +14,12 @@ the same change:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.datalog import DeductiveDatabase
 from repro.datalog.compile_plan import (
     ENGINE_COMPILED,
     ENGINE_INTERPRETED,
-    ENGINES,
     ENV_ENGINE,
     order_body,
     resolve_engine,
@@ -30,11 +27,10 @@ from repro.datalog.compile_plan import (
 from repro.datalog.database import Relation
 from repro.datalog.errors import ArityError, SafetyError
 from repro.datalog.evaluation import BottomUpEvaluator, ExtensionalStore
-from repro.datalog.magic import _SeededSource, magic_answers
 from repro.datalog.parser import parse_atom, parse_rule
 from repro.datalog.terms import Constant, Variable
 
-from tests.test_properties import CONSTANTS, databases, positive_databases
+from tests.test_properties import databases
 
 
 def _model(db, *, engine, semi_naive=True):
@@ -64,24 +60,6 @@ class TestEngineDifferential:
         # facts_derived counts fresh rows -- engine-independent by design.
         assert comp.stats.facts_derived == semi.stats.facts_derived
 
-    @given(db=positive_databases(),
-           view=st.sampled_from(["V1", "V2"]),
-           constant=st.sampled_from(CONSTANTS + [None]))
-    @settings(max_examples=60, deadline=None)
-    def test_magic_rewrite_through_compiled_engine(self, db, view, constant):
-        if view == "V2" and not any(r.head.predicate == "V2"
-                                    for r in db.rules):
-            return
-        goal = parse_atom(f"{view}({constant})" if constant else f"{view}(x)")
-        _, full = _model(db, engine="compiled")
-        expected = {
-            row for row in full.extension(view)
-            if constant is None or row[0] == Constant(constant)
-        }
-        rules = db.all_rules()
-        assert magic_answers(db, rules, goal, engine="compiled") == expected
-        assert magic_answers(db, rules, goal, engine="interpreted") == expected
-
     @given(db=databases())
     @settings(max_examples=40, deadline=None)
     def test_compiled_answers_match_interpreted(self, db):
@@ -98,47 +76,6 @@ class TestEngineDifferential:
                 for subst in answers}
             assert normalize(comp.answers(goal)) \
                 == normalize(interp.answers(goal))
-
-
-class TestMagicRepeatedVariables:
-    """Regression: ``Self(x, x)`` must only admit rows with equal columns."""
-
-    def test_repeated_variable_query(self):
-        db = DeductiveDatabase.from_source("""
-            E(A, B). E(C, C).
-            Self(x, y) <- E(x, y).
-        """)
-        goal = parse_atom("Self(x, x)")
-        expected = {(Constant("C"), Constant("C"))}
-        full = BottomUpEvaluator(db, db.all_rules())
-        assert {row for row in full.extension("Self")
-                if row[0] == row[1]} == expected
-        for engine in ENGINES:
-            assert magic_answers(db, db.all_rules(), goal,
-                                 engine=engine) == expected
-
-    def test_repeated_variable_with_constant(self):
-        """Mixed pattern: constants bind, repeated variables equate."""
-        db = DeductiveDatabase.from_source("""
-            T(A, A, B). T(A, B, B). T(B, A, A).
-            V(x, y, z) <- T(x, y, z).
-        """)
-        goal = parse_atom("V(x, x, B)")
-        # Only rows whose first two columns coincide and third is B.
-        assert magic_answers(db, db.all_rules(), goal) == {
-            (Constant("A"), Constant("A"), Constant("B"))}
-
-    def test_recursive_repeated_variable_query(self):
-        """The fix also holds on recursive programs (cycle detection)."""
-        db = DeductiveDatabase.from_source("""
-            E(A, B). E(B, A). E(B, C).
-            Path(x, y) <- E(x, y).
-            Path(x, y) <- E(x, z) & Path(z, y).
-        """)
-        goal = parse_atom("Path(x, x)")
-        answers = magic_answers(db, db.all_rules(), goal)
-        assert answers == {(Constant("A"), Constant("A")),
-                           (Constant("B"), Constant("B"))}
 
 
 class TestIncrementalRelationIndexes:
@@ -208,23 +145,6 @@ class TestArityGuards:
         # A short pattern used to zip-truncate and "match" the stored row.
         assert set(store.lookup("P", (Constant("A"), Variable("y")))) \
             == {(Constant("A"), Constant("B"))}
-
-    def test_seeded_source_lookup(self):
-        seed = ("magic$V@b", (Constant("A"),))
-        source = _SeededSource(ExtensionalStore(), *seed)
-        with pytest.raises(ArityError):
-            list(source.lookup("magic$V@b", (Variable("x"), Variable("y"))))
-        assert list(source.lookup("magic$V@b", (Variable("x"),))) \
-            == [(Constant("A"),)]
-
-    def test_magic_answer_filter(self):
-        db = DeductiveDatabase.from_source("""
-            B1(A).
-            V1(x) <- B1(x).
-        """)
-        with pytest.raises(ArityError):
-            magic_answers(db, db.all_rules(), parse_atom("V1(x, y)"))
-
 
 class TestMaterializationSnapshot:
     """Regression: a held ``Materialization`` must not track live stats."""

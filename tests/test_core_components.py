@@ -1,62 +1,14 @@
-"""Unit tests for materialized views, the repair loop and schema updates."""
+"""Unit tests for the repair loop and schema updates."""
 
 import pytest
 
-from repro.datalog.errors import UnknownPredicateError
 from repro.datalog.parser import parse_rule
 from repro.datalog.terms import Constant
 from repro.events.events import Transaction, insert
-from repro.core import (
-    MaterializedViewStore,
-    apply_schema_update,
-    repair_to_consistency,
-)
+from repro.core import apply_schema_update, repair_to_consistency
 from repro.core.repair_loop import smallest_repair
 from repro.problems.base import StateError
 from repro.workloads import employment_database
-
-
-class TestMaterializedViewStore:
-    def test_initial_materialisation(self, employment_db):
-        store = MaterializedViewStore(employment_db, ["Unemp"])
-        assert store.holds("Unemp", "Dolors")
-        assert store.extension("Unemp") == frozenset({(Constant("Dolors"),)})
-
-    def test_apply_maintains(self, employment_db):
-        store = MaterializedViewStore(employment_db, ["Unemp"])
-        changed = store.apply(Transaction([insert("La", "Maria")]))
-        assert store.holds("Unemp", "Maria")
-        assert "Unemp" in changed
-        assert store.transactions_applied == 1
-
-    def test_apply_writes_through_to_db(self, employment_db):
-        store = MaterializedViewStore(employment_db, ["Unemp"])
-        store.apply(Transaction([insert("La", "Maria")]))
-        assert employment_db.has_fact("La", "Maria")
-
-    def test_deletion_maintained(self, employment_db):
-        store = MaterializedViewStore(employment_db, ["Unemp"])
-        store.apply(Transaction([insert("Works", "Dolors")]))
-        assert not store.holds("Unemp", "Dolors")
-
-    def test_verify_after_many_transactions(self):
-        db = employment_database(40, seed=11)
-        store = MaterializedViewStore(db, ["Unemp"])
-        from repro.workloads import random_transaction
-
-        for seed in range(8):
-            store.apply(random_transaction(db, n_events=3, seed=seed))
-        report = store.verify()
-        assert report.ok, report.mismatches
-
-    def test_unknown_view_rejected(self, employment_db):
-        with pytest.raises(UnknownPredicateError):
-            MaterializedViewStore(employment_db, ["La"])
-
-    def test_extension_of_unmaterialized_view_rejected(self, employment_db):
-        store = MaterializedViewStore(employment_db, ["Unemp"])
-        with pytest.raises(UnknownPredicateError):
-            store.extension("Ic1")
 
 
 class TestRepairLoop:
@@ -156,31 +108,3 @@ class TestSchemaUpdates:
         ev = BottomUpEvaluator(result.db, result.db.all_rules())
         assert (Constant("B"),) in ev.extension("P")
 
-
-class TestCountingStrategyStore:
-    def test_counting_store_stays_in_sync(self):
-        from repro.workloads import random_transaction
-
-        db = employment_database(30, seed=61)
-        store = MaterializedViewStore(db, ["Unemp"], strategy="counting")
-        for seed in range(8):
-            store.apply(random_transaction(db, n_events=2, seed=seed))
-        assert store.verify().ok
-        assert store.transactions_applied == 8
-
-    def test_strategies_agree(self):
-        from repro.workloads import random_transaction
-
-        db_a = employment_database(20, seed=62)
-        db_b = employment_database(20, seed=62)
-        hybrid = MaterializedViewStore(db_a, ["Unemp"])
-        counting = MaterializedViewStore(db_b, ["Unemp"], strategy="counting")
-        for seed in range(6):
-            transaction = random_transaction(db_a, n_events=2, seed=seed)
-            hybrid.apply(transaction)
-            counting.apply(transaction)
-            assert hybrid.extension("Unemp") == counting.extension("Unemp")
-
-    def test_unknown_strategy_rejected(self, employment_db):
-        with pytest.raises(ValueError):
-            MaterializedViewStore(employment_db, ["Unemp"], strategy="psychic")

@@ -1,4 +1,4 @@
-"""Tests for translation ranking policies and derivation explanations."""
+"""Tests for derivation explanations."""
 
 import pytest
 
@@ -6,14 +6,6 @@ from repro.datalog import DeductiveDatabase
 from repro.datalog.explain import Explainer
 from repro.datalog.terms import Constant
 from repro.events.events import delete, insert
-from repro.interpretations import DownwardInterpreter, want_delete, want_insert
-from repro.problems.selection import (
-    deletion_averse,
-    insertion_averse,
-    rank_by_side_effects,
-    rank_translations,
-    smallest,
-)
 
 
 @pytest.fixture
@@ -25,47 +17,6 @@ def library_db():
         Flagged(x) <- Borrowed(x, b) & Overdue(x, b).
         InGoodStanding(x) <- Member(x) & not Flagged(x).
     """)
-
-
-class TestRankingPolicies:
-    def test_smallest(self, library_db):
-        result = DownwardInterpreter(library_db).interpret(
-            want_insert("InGoodStanding", "Ada"))
-        ranked = rank_translations(result.translations, smallest)
-        assert ranked
-        sizes = [len(r.transaction) for r in ranked]
-        assert sizes == sorted(sizes)
-
-    def test_deletion_vs_insertion_averse(self, employment_db):
-        result = DownwardInterpreter(employment_db).interpret(
-            want_delete("Unemp", "Dolors"))
-        # Alternatives: {δLa(Dolors)} (one deletion) and {ιWorks(Dolors)}
-        # (one insertion).
-        best_del_averse = rank_translations(
-            result.translations, deletion_averse)[0]
-        best_ins_averse = rank_translations(
-            result.translations, insertion_averse)[0]
-        assert insert("Works", "Dolors") in best_del_averse.transaction
-        assert delete("La", "Dolors") in best_ins_averse.transaction
-
-    def test_side_effect_ranking(self, employment_db):
-        # Deleting La(Dolors) also deletes Unemp(Dolors)... both requested;
-        # but δLa touches nothing else, while ιWorks also only affects
-        # Unemp.  Add a view that reacts to Works to split them.
-        from repro.datalog.parser import parse_rule
-
-        employment_db.add_rule(parse_rule("Employed(x) <- Works(x)."))
-        result = DownwardInterpreter(employment_db).interpret(
-            want_delete("Unemp", "Dolors"))
-        ranked = rank_by_side_effects(employment_db, result.translations,
-                                      requested_predicates=["Unemp"])
-        # ιWorks(Dolors) induces ιEmployed(Dolors): one side effect.
-        # δLa(Dolors) induces none.
-        best = ranked[0]
-        assert delete("La", "Dolors") in best.transaction
-        assert not best.side_effects
-        worst = ranked[-1]
-        assert any(e.predicate == "Employed" for e in worst.side_effects)
 
 
 class TestExplain:

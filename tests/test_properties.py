@@ -243,59 +243,6 @@ class TestDownwardSoundness:
             assert result.dnf.is_true
 
 
-#: Positive-only rule pool for the magic-sets property (its fragment).
-_POSITIVE_V1 = [
-    "V1(x) <- B1(x).",
-    "V1(x) <- B2(x, y).",
-    "V1(x) <- B2(y, x) & B1(y).",
-]
-_POSITIVE_V2 = [
-    "V2(x) <- V1(x) & B1(x).",
-    "V2(x) <- B2(x, y) & V1(y).",
-    "V2(x) <- V1(x).",
-]
-
-
-@st.composite
-def positive_databases(draw):
-    db = DeductiveDatabase()
-    db.declare_base("B1", 1)
-    db.declare_base("B2", 2)
-    for constant in draw(st.sets(st.sampled_from(CONSTANTS), max_size=4)):
-        db.add_fact("B1", constant)
-    pairs = st.tuples(st.sampled_from(CONSTANTS), st.sampled_from(CONSTANTS))
-    for pair in draw(st.sets(pairs, max_size=6)):
-        db.add_fact("B2", *pair)
-    for source in draw(st.sets(st.sampled_from(_POSITIVE_V1),
-                               min_size=1, max_size=3)):
-        db.add_rule(parse_rule(source))
-    for source in draw(st.sets(st.sampled_from(_POSITIVE_V2), max_size=2)):
-        db.add_rule(parse_rule(source))
-    return db
-
-
-class TestMagicEquivalence:
-    @given(db=positive_databases(),
-           view=st.sampled_from(["V1", "V2"]),
-           constant=st.sampled_from(CONSTANTS + [None]))
-    @settings(max_examples=80, deadline=None)
-    def test_magic_matches_full_evaluation(self, db, view, constant):
-        from repro.datalog.evaluation import BottomUpEvaluator
-        from repro.datalog.magic import magic_answers
-        from repro.datalog.parser import parse_atom
-
-        if view == "V2" and not any(r.head.predicate == "V2"
-                                    for r in db.rules):
-            return
-        goal = parse_atom(f"{view}({constant})" if constant else f"{view}(x)")
-        full = BottomUpEvaluator(db, db.all_rules())
-        expected = {
-            row for row in full.extension(view)
-            if constant is None or row[0] == Constant(constant)
-        }
-        assert magic_answers(db, db.all_rules(), goal) == expected
-
-
 def _truth_assignments(literal_pool):
     atoms = sorted({l.atom for l in literal_pool}, key=str)
     for bits in itertools.product([False, True], repeat=len(atoms)):
