@@ -6,7 +6,7 @@ from repro.datalog import DeductiveDatabase
 from repro.datalog.builtins import evaluate_builtin, is_builtin
 from repro.datalog.errors import ArityError, SafetyError
 from repro.datalog.evaluation import BottomUpEvaluator
-from repro.datalog.parser import parse_literal, parse_rule
+from repro.datalog.parser import parse_atom, parse_literal, parse_rule
 from repro.datalog.terms import Constant
 from repro.events.events import Transaction, delete, insert
 from repro.events.transition import compile_transition_rule
@@ -100,6 +100,14 @@ class TestEvaluation:
         ev = BottomUpEvaluator(db, db.all_rules())
         assert (Constant("Grace"), Constant("Alan")) in ev.extension("Beats")
         assert (Constant("Alan"), Constant("Grace")) not in ev.extension("Beats")
+
+    def test_goal_answers_agree(self):
+        db = DeductiveDatabase.from_source(self.SOURCE)
+        ev = BottomUpEvaluator(db, db.all_rules())
+        assert ev.holds(parse_literal("Pair(A, B)"))
+        assert not ev.holds(parse_literal("Pair(A, A)"))
+        assert len(ev.answers(parse_atom("Pair(x, y)"))) == 6
+        assert sorted(db.query("Pair(A, y)")) == [("B",), ("C",)]
 
     def test_unsafe_builtin_only_query(self):
         db = DeductiveDatabase.from_source(self.SOURCE)

@@ -78,6 +78,27 @@ class TestEngineDifferential:
                 == normalize(interp.answers(goal))
 
 
+    @pytest.mark.parametrize("query", [
+        "Path(A1, y)", "Path(x, x)", "Path(x, B2)",
+    ])
+    def test_bound_goal_answers_match_interpreted(self, query):
+        """Constants and repeated variables filter alike on both engines."""
+        db = DeductiveDatabase.from_source("""
+            Edge(A1, A2). Edge(A2, A3).
+            Edge(B1, B2). Edge(B2, B3). Edge(B3, B1).
+            Path(x, y) <- Edge(x, y).
+            Path(x, y) <- Edge(x, z) & Path(z, y).
+        """)
+        goal = parse_atom(query)
+        answers = {}
+        for engine in ("compiled", "interpreted"):
+            evaluator = BottomUpEvaluator(db, db.all_rules(), engine=engine)
+            answers[engine] = {tuple(sorted((str(v), c)
+                                            for v, c in subst.items()))
+                               for subst in evaluator.answers(goal)}
+        assert answers["compiled"] == answers["interpreted"]
+        assert answers["compiled"]
+
 class TestIncrementalRelationIndexes:
     """Regression: mutations must patch live indexes, not drop them."""
 

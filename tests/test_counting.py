@@ -188,6 +188,86 @@ class TestTwoPhase:
         assert one_shot.deletions == applied.deletions
 
 
+class TestMaintainedViews:
+    """The engine as the store of materialised views (Section 5.1.3)."""
+
+    WAREHOUSE = """
+        Order(O1, Ada). Order(O2, Ada). Order(O3, Alan). Shipped(O3).
+        Pending(o, c) <- Order(o, c) & not Shipped(o).
+        ActiveCustomer(c) <- Pending(o, c).
+    """
+
+    def test_initial_extension(self, employment_db):
+        engine = CountingEngine(employment_db)
+        assert engine.extension("Unemp") == rows("Dolors")
+        assert engine.extension("Ic1") == frozenset()
+
+    def test_insertion_maintained(self, employment_db):
+        engine = CountingEngine(employment_db)
+        result = engine.apply(Transaction([insert("La", "Maria")]))
+        assert result.insertions_of("Unemp") == rows("Maria")
+        assert engine.extension("Unemp") == rows("Dolors", "Maria")
+        # Maria has no benefit: the inconsistency view is maintained too.
+        assert engine.extension("Ic1") == frozenset({()})
+
+    def test_apply_writes_through_to_db(self, employment_db):
+        engine = CountingEngine(employment_db)
+        engine.apply(Transaction([insert("La", "Maria")]))
+        assert employment_db.has_fact("La", "Maria")
+
+    def test_deletion_maintained(self, employment_db):
+        engine = CountingEngine(employment_db)
+        result = engine.apply(Transaction([insert("Works", "Dolors")]))
+        assert result.deletions_of("Unemp") == rows("Dolors")
+        assert engine.extension("Unemp") == frozenset()
+
+    def test_two_level_view_keeps_its_support(self):
+        db = DeductiveDatabase.from_source(self.WAREHOUSE)
+        engine = CountingEngine(db)
+        assert engine.extension("ActiveCustomer") == rows("Ada")
+        assert engine.count("ActiveCustomer", (Constant("Ada"),)) == 2
+        # Ada stays active while one of her orders is still pending.
+        engine.apply(Transaction([insert("Shipped", "O1")]))
+        assert engine.extension("ActiveCustomer") == rows("Ada")
+        result = engine.apply(Transaction([insert("Shipped", "O2")]))
+        assert result.deletions_of("ActiveCustomer") == rows("Ada")
+        assert engine.extension("ActiveCustomer") == frozenset()
+
+    def test_every_view_in_sync_after_many_transactions(self):
+        from repro.datalog.evaluation import BottomUpEvaluator
+
+        db = employment_database(40, seed=11)
+        engine = CountingEngine(db)
+        for seed in range(8):
+            engine.apply(random_transaction(db, n_events=3, seed=seed))
+        evaluator = BottomUpEvaluator(db, db.rules_with_global_ic())
+        for predicate in engine.order:
+            assert engine.extension(predicate) \
+                == evaluator.extension(predicate), predicate
+
+    def test_agrees_with_upward_interpreter(self):
+        from repro.core import UpdateProcessor
+
+        db = employment_database(20, seed=62)
+        engine = CountingEngine(db.copy())
+        for seed in range(6):
+            transaction = random_transaction(db, n_events=2, seed=seed)
+            deltas = UpdateProcessor(db).maintenance_deltas(
+                transaction, ["Unemp"])
+            result = engine.apply(transaction)
+            assert result.insertions_of("Unemp") \
+                == deltas.to_insert.get("Unemp", frozenset()), seed
+            assert result.deletions_of("Unemp") \
+                == deltas.to_delete.get("Unemp", frozenset()), seed
+            db = transaction.apply_to(db)
+
+    def test_base_predicate_is_not_maintained(self, employment_db):
+        engine = CountingEngine(employment_db)
+        assert "La" not in engine.order
+        assert engine.extension("La") == frozenset()
+        assert engine.count("Unemp", (Constant("Maria"),)) == 0
+
+
 class TestDeltaRules:
     def test_delta_rules_compiled_per_body_position(self):
         db = DeductiveDatabase.from_source("""

@@ -6,6 +6,7 @@ from repro.datalog import DeductiveDatabase
 from repro.datalog.errors import UnknownPredicateError
 from repro.datalog.terms import Constant
 from repro.events.events import Transaction, delete, insert
+from repro.core import UpdateProcessor
 from repro.problems import monitor_conditions, view_maintenance_deltas
 
 
@@ -98,3 +99,78 @@ class TestViewMaintenance:
         maintained = (before | deltas.to_insert.get("Alarm", frozenset())) \
             - deltas.to_delete.get("Alarm", frozenset())
         assert maintained == after
+
+
+@pytest.fixture
+def shop_db():
+    return DeductiveDatabase.from_source("""
+        Stock(Widget, 3). Threshold(Widget, 5).
+        LowStock(p) <- Stock(p, n) & Threshold(p, m) & Lt(n, m).
+    """)
+
+
+def replenish(db, product):
+    """Raise *product*'s stock to 100: the reaction to ``ιLowStock``."""
+    (current,) = (n.value for p, n in db.facts_of("Stock")
+                  if p.value == product)
+    return Transaction([delete("Stock", product, current),
+                        insert("Stock", product, 100)])
+
+
+class TestReactingToActivations:
+    """Reacting to ``ιCond`` read upward through ``UpdateProcessor.monitor``."""
+
+    def test_activation_reports_the_new_row(self, shop_db):
+        changes = UpdateProcessor(shop_db).monitor(Transaction([
+            insert("Stock", "Gadget", 1),
+            insert("Threshold", "Gadget", 10),
+        ]), ["LowStock"])
+        assert changes.activated["LowStock"] == {(Constant("Gadget"),)}
+        assert not changes.deactivated
+
+    def test_deactivation_reported(self, shop_db):
+        changes = UpdateProcessor(shop_db).monitor(Transaction([
+            delete("Stock", "Widget", 3),
+            insert("Stock", "Widget", 9),
+        ]), ["LowStock"])
+        assert changes.deactivated["LowStock"] == {(Constant("Widget"),)}
+        assert not changes.activated
+
+    def test_staying_low_is_not_an_activation(self, shop_db):
+        # Widget is already low; a further sale is no transition into it.
+        changes = UpdateProcessor(shop_db).monitor(Transaction([
+            delete("Stock", "Widget", 3),
+            insert("Stock", "Widget", 2),
+        ]), ["LowStock"])
+        assert changes.is_unaffected("LowStock")
+
+    def test_reaction_deactivates_the_condition(self, shop_db):
+        processor = UpdateProcessor(shop_db)
+        sale = Transaction([insert("Stock", "Gadget", 1),
+                            insert("Threshold", "Gadget", 10)])
+        changes = processor.monitor(sale, ["LowStock"])
+        processor.execute(sale)
+        for (product,) in changes.activated["LowStock"]:
+            reaction = replenish(shop_db, product.value)
+            followed = processor.monitor(reaction, ["LowStock"])
+            assert followed.deactivated["LowStock"] == {(product,)}
+            processor.execute(reaction)
+        assert shop_db.has_fact("Stock", "Gadget", 100)
+        assert shop_db.query("LowStock(Gadget)") == []
+        assert shop_db.query("LowStock(p)") == [("Widget",)]
+
+    def test_unrelated_change_needs_no_reaction(self, shop_db):
+        changes = UpdateProcessor(shop_db).monitor(
+            Transaction([insert("Stock", "Bolt", 50)]), ["LowStock"])
+        assert changes.is_unaffected()
+
+    def test_monitor_leaves_the_database_untouched(self, shop_db):
+        UpdateProcessor(shop_db).monitor(
+            Transaction([insert("Stock", "Gadget", 1),
+                         insert("Threshold", "Gadget", 10)]), ["LowStock"])
+        assert not shop_db.has_fact("Stock", "Gadget", 1)
+        assert shop_db.query("LowStock(p)") == [("Widget",)]
+
+    def test_base_condition_rejected(self, shop_db):
+        with pytest.raises(UnknownPredicateError):
+            UpdateProcessor(shop_db).monitor(Transaction(), ["Stock"])

@@ -243,6 +243,28 @@ class TestDownwardSoundness:
             assert result.dnf.is_true
 
 
+class TestGoalEquivalence:
+    @given(db=databases(),
+           view=st.sampled_from(["V1", "V2"]),
+           constant=st.sampled_from(CONSTANTS + [None]))
+    @settings(max_examples=60, deadline=None)
+    def test_query_matches_full_evaluation(self, db, view, constant):
+        """``db.query`` on a bound or free goal is the filtered extension."""
+        from repro.datalog.evaluation import BottomUpEvaluator
+
+        if not any(r.head.predicate == view for r in db.rules):
+            return
+        goal = f"{view}({constant})" if constant else f"{view}(x)"
+        full = BottomUpEvaluator(db, db.all_rules())
+        expected = {
+            row for row in full.extension(view)
+            if constant is None or row[0] == Constant(constant)
+        }
+        if constant is None:
+            assert set(db.query(goal)) == {(c.value,) for (c,) in expected}
+        else:
+            assert db.query(goal) == ([()] if expected else [])
+
 def _truth_assignments(literal_pool):
     atoms = sorted({l.atom for l in literal_pool}, key=str)
     for bits in itertools.product([False, True], repeat=len(atoms)):
