@@ -8,7 +8,7 @@ batch so that no alert fires (preventing activation).
 Run:  python examples/condition_monitoring_alerts.py
 """
 
-from repro import DeductiveDatabase, Transaction, UpdateProcessor, insert, delete
+from repro import DeductiveDatabase, Transaction, UpdateProcessor, insert
 
 
 def build_network() -> DeductiveDatabase:

@@ -14,7 +14,6 @@ from repro import (
     insert,
     parse_transaction,
     want_delete,
-    want_insert,
 )
 from repro.workloads import employment_database, random_transaction
 

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from repro.datalog.builtins import evaluate_builtin, is_builtin
 from repro.datalog.errors import SafetyError
 from repro.datalog.rules import Literal, Rule
-from repro.datalog.terms import Constant, Term, Variable
+from repro.datalog.terms import Constant, Variable
 from repro.obs import tracer as obs
 
 Row = tuple[Constant, ...]

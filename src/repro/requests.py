@@ -22,13 +22,14 @@ validation path, so wire semantics cannot drift from library semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, ClassVar, Mapping
 
 from repro.datalog.errors import DatalogError
 from repro.datalog.rules import Literal
 from repro.events.events import Transaction, parse_transaction
 from repro.events.requests import parse_request, request_text
 from repro.interpretations.maintainers import CacheMode
+from repro.serde import answers_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.processor import UpdateProcessor
@@ -190,9 +191,11 @@ class QueryRequest(UpdateRequest):
     def from_params(cls, params: dict) -> "QueryRequest":
         return cls(goal=_wire_string(params, "goal"))
 
-    def execute(self, engine: "DatabaseEngine") -> dict:
-        answers = engine.query(self.goal)
-        return {"answers": [list(row) for row in answers]}
+    def execute(self, engine: "DatabaseEngine") -> Mapping:
+        """``{"answers": [[value, ...], ...]}``.  A memoised goal's result
+        comes already encoded (:func:`~repro.serde.answers_result`): a memo
+        hit is neither rebuilt here nor re-encoded in the reply."""
+        return answers_result(engine.query(self.goal))
 
     def run(self, processor: "UpdateProcessor"):
         return processor.db.query(self.goal)

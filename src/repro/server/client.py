@@ -8,7 +8,6 @@ the wire error type.
 
 from __future__ import annotations
 
-import json
 import socket
 from collections import deque
 from typing import Iterable
@@ -42,17 +41,6 @@ class ConnectionLostError(DatalogError, ConnectionError):
     fails fast with this error.  Inherits :class:`ConnectionError` so
     existing ``except ConnectionError`` call sites keep working.
     """
-
-
-def _as_feed_frame(line: bytes) -> dict | None:
-    """The pushed feed payload in *line*, or ``None`` for a response line."""
-    try:
-        payload = json.loads(line)
-    except (ValueError, UnicodeDecodeError):
-        return None  # let decode_response raise the protocol error
-    if isinstance(payload, dict) and "feed" in payload and "ok" not in payload:
-        return payload
-    return None
 
 
 class DatabaseClient:
@@ -98,14 +86,14 @@ class DatabaseClient:
         try:
             self._file.write(request.to_json().encode("utf-8") + b"\n")
             self._file.flush()
-            line = self._read_response_line()
+            payload = self._read_response_payload()
         except ConnectionLostError:
             raise
         except OSError as error:  # timeouts (socket.timeout) included
             self._mark_broken(f"{type(error).__name__}: {error}")
             raise ConnectionLostError(
                 f"connection lost mid-call ({op}): {error}") from error
-        response = protocol.decode_response(line)
+        response = protocol.response_of(payload)
         if not response.ok:
             error = response.error or {}
             retry_after = error.get("retry_after")
@@ -120,8 +108,9 @@ class DatabaseClient:
                 f"request id {self._next_id!r}")
         return response.result or {}
 
-    def _read_response_line(self) -> bytes:
-        """Read lines until a response arrives, buffering pushed feed frames.
+    def _read_response_payload(self):
+        """Read lines until a response arrives, buffering pushed feed frames;
+        returns the response line's JSON value, each line parsed once.
 
         A connection holding subscriptions can receive feed frames (lines
         with a ``feed`` key instead of ``ok``) interleaved with responses;
@@ -132,10 +121,10 @@ class DatabaseClient:
             if not line:
                 self._mark_broken("server closed the connection")
                 raise ConnectionLostError("server closed the connection")
-            frame = _as_feed_frame(line)
-            if frame is None:
-                return line
-            self._frames.append(frame)
+            payload = protocol.load_line(line)
+            if not protocol.is_feed_frame(payload):
+                return payload
+            self._frames.append(payload)
 
     def _mark_broken(self, reason: str) -> None:
         self._broken = reason
@@ -184,8 +173,11 @@ class DatabaseClient:
         if not line:
             self._mark_broken("server closed the connection")
             raise ConnectionLostError("server closed the connection")
-        frame = _as_feed_frame(line)
-        if frame is None:  # a response with no request in flight: desync
+        try:
+            frame = protocol.load_line(line)
+        except (protocol.ProtocolError, UnicodeDecodeError):
+            frame = None
+        if not protocol.is_feed_frame(frame):  # no request in flight: desync
             self._mark_broken("unexpected response while waiting for a frame")
             raise ConnectionLostError(
                 "received a response line while waiting for a feed frame; "

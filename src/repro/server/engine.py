@@ -103,6 +103,7 @@ from repro.problems.condition_monitoring import (
     check_conditions,
     condition_changes,
 )
+from repro.serde import AnswerList, AnswerMemo
 from repro.server.feed import BoundGoal, FeedBus, parse_goals
 from repro.server.metrics import MetricsRegistry
 
@@ -473,7 +474,7 @@ class DatabaseEngine:
                 "ivm.delta_rules",
                 self._maintainer.counting_engine().n_delta_rules)
         self._rwlock = RWLock()
-        #: ``(RWLock.writes, {memo key: answers})`` -- see ``query``.
+        #: ``(RWLock.writes, {memo key: AnswerMemo})`` -- see ``query``.
         self._memo: tuple[int, dict] = (0, {})
         #: Serialises the readers that search or memoise (``downward``,
         #: ``repair``, the processor-backed what-ifs) and the one that
@@ -589,7 +590,13 @@ class DatabaseEngine:
 
         A goal with no constant over a known predicate is answered once
         per state: the answer is memoised until the next writer enters,
-        and each hit (``query.memo_hits``) returns a fresh list of it.
+        and each call returns a fresh list of it (each hit bumps
+        ``query.memo_hits``), an :class:`~repro.serde.AnswerList` that
+        carries the memo entry.  The entry also keeps the JSON text of the
+        ``query`` reply's result (:func:`~repro.serde.answers_result`),
+        encoded by the state's first reply; the same writer invalidates
+        rows and text, and every later reply puts the text in as it
+        stands, neither rebuilt nor re-encoded.
         """
         self._ensure_open()
         with self.metrics.time("query"), obs.span("engine.query") as span:
@@ -597,9 +604,9 @@ class DatabaseEngine:
             with self._rwlock.read():
                 now, (writes, memo) = self._rwlock.writes, self._memo
                 key = self._memo_key(target)
-                stored = memo.get(key) if writes == now else None
-                if stored is not None:
-                    path, answers = "memo", list(stored)
+                memoised = memo.get(key) if writes == now else None
+                if memoised is not None:
+                    path, answers = "memo", memoised.rows
                     self.metrics.increment("query.memo_hits")
                 else:
                     path, rows = self._goal_rows(target)
@@ -608,11 +615,11 @@ class DatabaseEngine:
                         if writes != now:  # keep this state's answers only
                             memo = {}
                             self._memo = (now, memo)
-                        memo[key] = tuple(answers)
+                        memoised = memo[key] = AnswerMemo(tuple(answers))
             if obs.enabled():
                 span.set(path=path)
                 span.add("answers", len(answers))
-            return answers
+            return answers if memoised is None else AnswerList(memoised)
 
     def _memo_key(self, target: Atom) -> tuple | None:
         """The memo key of a constant-free goal on a known predicate:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.datalog.errors import (
     ArityError,
@@ -52,6 +53,7 @@ from repro.datalog.errors import (
 )
 from repro.problems.base import StateError
 from repro.requests import REQUEST_TYPES, UpdateRequest, WireFormatError
+from repro.serde import EncodedResult, dumps
 from repro.server.engine import (
     ConflictDeferralTimeout,
     DatabaseEngine,
@@ -94,25 +96,33 @@ class Request:
             payload["id"] = self.id
         if self.params:
             payload["params"] = self.params
-        return json.dumps(payload, separators=(",", ":"))
+        return dumps(payload)
 
 
 @dataclass
 class Response:
-    """One protocol response."""
+    """One protocol response.
+
+    A successful *result* may be an :class:`~repro.serde.EncodedResult`,
+    whose text goes into the reply as it stands: byte for byte what
+    encoding the equal dict would give.
+    """
 
     ok: bool
-    result: dict | None = None
+    result: Mapping | None = None
     error: dict | None = None
     id: int | str | None = None
 
     def to_json(self) -> str:
+        if self.ok and type(self.result) is EncodedResult:  # no ABC check
+            return (f'{{"v":{PROTOCOL_VERSION},"id":{dumps(self.id)},'
+                    f'"ok":true,"result":{self.result.text}}}')
         payload: dict = {"v": PROTOCOL_VERSION, "id": self.id, "ok": self.ok}
         if self.ok:
             payload["result"] = self.result or {}
         else:
             payload["error"] = self.error or {}
-        return json.dumps(payload, separators=(",", ":"))
+        return dumps(payload)
 
 
 def decode_request(line: str | bytes) -> Request:
@@ -145,12 +155,27 @@ def decode_request(line: str | bytes) -> Request:
 
 def decode_response(line: str | bytes) -> Response:
     """Parse one response line (the client side of the wire)."""
+    return response_of(load_line(line))
+
+
+def load_line(line: str | bytes):
+    """The JSON value of one line from a server: a response or a feed frame."""
     if isinstance(line, bytes):
         line = line.decode("utf-8")
     try:
-        payload = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError as error:
         raise ProtocolError(f"response is not valid JSON: {error}") from None
+
+
+def is_feed_frame(payload) -> bool:
+    """Whether a loaded line is a pushed feed frame rather than a response."""
+    return (isinstance(payload, dict) and "feed" in payload
+            and "ok" not in payload)
+
+
+def response_of(payload) -> Response:
+    """The :class:`Response` a loaded response line carries."""
     if not isinstance(payload, dict) or "ok" not in payload:
         raise ProtocolError("response must be a JSON object with 'ok'")
     return Response(ok=bool(payload["ok"]), result=payload.get("result"),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.datalog.database import DeductiveDatabase
-from repro.datalog.terms import Constant
 from repro.core.processor import UpdateProcessor
 from repro.events.events import Transaction, delete, insert, parse_transaction
 from repro.interpretations import naive_changes
