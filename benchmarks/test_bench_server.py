@@ -108,8 +108,7 @@ def _timed(fn) -> float:
 
 def test_bench_repeated_scan(benchmark, tmp_path):
     engine = DatabaseEngine.open(
-        tmp_path / "scan", initial=employment_database(N_PEOPLE, seed=5),
-        cache_mode="counting")
+        tmp_path / "scan", initial=employment_database(N_PEOPLE, seed=5))
     try:
         expected = engine.db.query(SCAN)
         assert engine.query(SCAN) == expected  # the one miss of this state

@@ -1,24 +1,18 @@
-"""Change-feed cost: publishing is (nearly) free, sourcing is what pays.
+"""Change-feed cost: publishing is (nearly) free.
 
 The same synthetic view as the IVM benchmark:
 
     V(x)  <- E(x, y).
     Ic1   <- Banned(x) & V(x).
 
-Two readings, both printed:
-
-- **Fan-out is cheap**: the per-commit latency of a counting-mode engine
-  with 64 standing subscriptions on ``V``, against the same engine with
-  no subscribers at all.  Publishing forwards the maintainer's own
-  induced deltas to in-memory callbacks -- no extra evaluation, no
-  blocking delivery.  The ratio is printed, not asserted: a best-of-8
-  commit of a few hundred microseconds moves by more than the publish
-  costs from one host to the next.
-- **Sourcing dominates**, and is asserted: at a 10^5-fact EDB, a
-  counting-sourced feed (maintainer deltas) is >= 10x faster per commit
-  than a diff-sourced one (``invalidate`` mode, where the engine must
-  snapshot and diff the subscribed extents because no maintained deltas
-  exist).
+**Fan-out is cheap**: the per-commit latency of a counting engine with 64
+standing subscriptions on ``V``, against the same engine with no
+subscribers at all.  Publishing forwards the maintainer's own induced
+deltas to in-memory callbacks -- no extra evaluation, no blocking
+delivery -- so every subscriber sees every commit as a ``delta`` frame
+(asserted).  The ratio (about 1.0x; 1.2x is the ceiling to watch) is
+printed, not asserted: a best-of-8 commit of a few hundred microseconds
+moves by more than the publish costs from one host to the next.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ N_BANNED = 20
 N_SUBSCRIBERS = 64
 DELTA_EVENTS = 8  # 4 inserts + 4 deletes per commit
 ROUNDS_FAST = 8
-ROUNDS_DIFF = 2
 
 RULES = """
     V(x) <- E(x, y).
@@ -76,13 +69,12 @@ def _best_commit_seconds(engine: DatabaseEngine,
     return best
 
 
-def test_bench_feed_fanout_and_sourcing(benchmark, tmp_path):
+def test_bench_feed_fanout(benchmark, tmp_path):
     results: dict[str, dict] = {}
 
     # -- counting, no subscribers: the baseline ----------------------------
     engine = DatabaseEngine.open(tmp_path / "base",
-                                 initial=_build_db(N_EDB),
-                                 cache_mode="counting")
+                                 initial=_build_db(N_EDB))
     try:
         assert engine.commit(_delta_transactions(1, "W")[0]).applied
         seconds = _best_commit_seconds(
@@ -96,13 +88,11 @@ def test_bench_feed_fanout_and_sourcing(benchmark, tmp_path):
 
     # -- counting, 64 subscribers: delta-sourced fan-out -------------------
     engine = DatabaseEngine.open(tmp_path / "fan",
-                                 initial=_build_db(N_EDB),
-                                 cache_mode="counting")
+                                 initial=_build_db(N_EDB))
     try:
         frames: list[list[dict]] = [[] for _ in range(N_SUBSCRIBERS)]
         for sink in frames:
             engine.feed_subscribe(["V"], sink.append)
-        assert engine.stats()["engine"]["feed_sourcing"] == "delta"
         assert engine.commit(_delta_transactions(1, "W")[0]).applied
         seconds = _best_commit_seconds(
             engine, _delta_transactions(ROUNDS_FAST, "F"))
@@ -123,41 +113,12 @@ def test_bench_feed_fanout_and_sourcing(benchmark, tmp_path):
     finally:
         engine.close(checkpoint=False)
 
-    # -- invalidate, 1 subscriber: diff-sourced feed -----------------------
-    engine = DatabaseEngine.open(tmp_path / "diff",
-                                 initial=_build_db(N_EDB),
-                                 cache_mode="invalidate")
-    try:
-        sink: list[dict] = []
-        engine.feed_subscribe(["V"], sink.append)
-        assert engine.stats()["engine"]["feed_sourcing"] == "diff"
-        assert engine.commit(_delta_transactions(1, "W")[0]).applied
-        seconds = _best_commit_seconds(
-            engine, _delta_transactions(ROUNDS_DIFF, "D"))
-        assert sink and all(frame["kind"] == "delta" for frame in sink)
-        results["diff_1_subscriber"] = {
-            "edb_facts": N_EDB, "delta_events": DELTA_EVENTS,
-            "subscribers": 1, "seconds_per_commit": seconds,
-        }
-    finally:
-        engine.close(checkpoint=False)
-
     fanout_overhead = (
         results["counting_64_subscribers"]["seconds_per_commit"]
         / results["counting_no_subscribers"]["seconds_per_commit"])
-    sourcing_speedup = (
-        results["diff_1_subscriber"]["seconds_per_commit"]
-        / results["counting_64_subscribers"]["seconds_per_commit"])
 
     for key, entry in sorted(results.items()):
         print(f"\nSUBS {key:24s} subs={entry['subscribers']:3d} "
               f"commit={entry['seconds_per_commit'] * 1e3:9.3f} ms")
     print(f"SUBS fan-out overhead at {N_SUBSCRIBERS} subscribers: "
           f"{fanout_overhead:.3f}x")
-    print(f"SUBS counting-sourced vs diff-sourced at {N_EDB}: "
-          f"{sourcing_speedup:.1f}x")
-
-    # Acceptance: maintainer-sourced frames >= 10x cheaper than diffing.
-    assert sourcing_speedup >= 10.0, (
-        f"counting-sourced feed must beat diff-sourced by >= 10x at "
-        f"{N_EDB} facts: {sourcing_speedup:.1f}x")

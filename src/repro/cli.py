@@ -217,8 +217,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = DatabaseEngine.open(args.directory, initial=initial,
                                  max_batch=args.max_batch,
                                  on_violation=args.on_violation,
-                                 cache_mode=args.cache_mode,
-                                 eval_engine=args.eval_engine,
                                  dedup_capacity=args.dedup_capacity)
     if args.routing:
         # A shard of a partitioned group: the routing table is the durable
@@ -235,6 +233,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_on_shutdown=not args.no_checkpoint,
         slow_op_threshold=args.slow_op_threshold)
     return 0
+
+
+def _add_ignored_knobs(parser: argparse.ArgumentParser) -> None:
+    """``--cache-mode`` / ``--eval-engine``: accepted, select nothing."""
+    parser.add_argument("--cache-mode",
+                        choices=["advance", "invalidate", "counting"],
+                        help="accepted for compatibility; selects nothing: "
+                             "the program picks the maintainer (counting, "
+                             "or advance when recursive; docs/IVM.md)")
+    parser.add_argument("--eval-engine", choices=["compiled", "interpreted"],
+                        help="accepted for compatibility; selects nothing: "
+                             "the server evaluates with compiled join plans "
+                             "(docs/EVALUATION.md)")
 
 
 def _parse_pins(pins: list[str] | None) -> dict[str, int]:
@@ -263,8 +274,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
                              pinned=_parse_pins(args.pin),
                              max_batch=args.max_batch,
                              on_violation=args.on_violation,
-                             cache_mode=args.cache_mode,
-                             eval_engine=args.eval_engine,
                              dedup_capacity=args.dedup_capacity)
     run(group, host=args.host, port=args.port, port_file=args.port_file,
         max_connections=args.max_connections,
@@ -563,18 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--on-violation", default="reject",
                        choices=["reject", "maintain", "ignore"],
                        help="default commit policy")
-    serve.add_argument("--cache-mode", default="advance",
-                       choices=["advance", "invalidate", "counting"],
-                       help="derived-state maintenance across commits: "
-                            "advance (default) patches warm caches, "
-                            "invalidate drops them, counting maintains "
-                            "derivation counts incrementally (docs/IVM.md)")
-    serve.add_argument("--eval-engine", default=None,
-                       choices=["compiled", "interpreted"],
-                       help="bottom-up evaluation engine for checks and "
-                            "interpretations: compiled join plans (default) "
-                            "or the tuple-at-a-time interpreter "
-                            "(docs/EVALUATION.md)")
+    _add_ignored_knobs(serve)
     serve.add_argument("--no-checkpoint", action="store_true",
                        help="skip the WAL checkpoint on shutdown")
     serve.add_argument("--trace", action="store_true",
@@ -609,10 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_serve.add_argument("--timeout", type=float, default=30.0)
     shard_serve.add_argument("--on-violation", default="reject",
                              choices=["reject", "maintain", "ignore"])
-    shard_serve.add_argument("--cache-mode", default="advance",
-                             choices=["advance", "invalidate", "counting"])
-    shard_serve.add_argument("--eval-engine", default=None,
-                             choices=["compiled", "interpreted"])
+    _add_ignored_knobs(shard_serve)
     shard_serve.add_argument("--no-checkpoint", action="store_true")
     shard_serve.add_argument("--trace", action="store_true")
     shard_serve.add_argument("--slow-op-threshold", type=float,

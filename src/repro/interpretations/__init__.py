@@ -7,8 +7,8 @@
 - :mod:`repro.interpretations.counting` -- counting-based change
   computation ([GMS93]) for non-recursive views;
 - :mod:`repro.interpretations.maintainers` -- the :class:`StateMaintainer`
-  strategies (invalidate / advance / counting) serving engines select by
-  :class:`CacheMode` to keep derived state warm across commits;
+  strategies (counting, and advance for recursive programs) a serving
+  engine keeps derived state warm with across commits;
 - :mod:`repro.interpretations.downward` -- the downward interpretation
   (§4.2): candidate transactions of base events that satisfy requested
   changes on derived predicates.
@@ -25,13 +25,9 @@ from repro.interpretations.counting import (
     DeltaRule,
 )
 from repro.interpretations.maintainers import (
-    MAINTAINERS,
     AdvancingMaintainer,
-    CacheMode,
     CountingMaintainer,
-    InvalidatingMaintainer,
     StateMaintainer,
-    create_maintainer,
 )
 from repro.interpretations.explanation import explain_event
 from repro.interpretations.naive import naive_changes
@@ -48,7 +44,6 @@ from repro.interpretations.downward import (
 
 __all__ = [
     "AdvancingMaintainer",
-    "CacheMode",
     "CountingEngine",
     "CountingMaintainer",
     "CountingUnsupportedError",
@@ -56,14 +51,11 @@ __all__ = [
     "DownwardInterpreter",
     "DownwardOptions",
     "DownwardResult",
-    "InvalidatingMaintainer",
-    "MAINTAINERS",
     "StateMaintainer",
     "Translation",
     "UpwardInterpreter",
     "UpwardOptions",
     "UpwardResult",
-    "create_maintainer",
     "explain_event",
     "forbid_delete",
     "forbid_insert",

@@ -1,14 +1,11 @@
-"""State maintainers: one name per strategy for keeping derived state warm.
+"""State maintainers: the two ways a serving engine keeps derived state warm.
 
-The serving engine used to hard-code ``if cache_mode == ...`` branches for
-its three cache strategies.  This module turns the strategy into a first-class
-object: a :class:`StateMaintainer` owns the derived state of one
+A :class:`StateMaintainer` owns the derived state of one
 :class:`~repro.core.processor.UpdateProcessor` and exposes a uniform
 protocol --
 
-- :meth:`StateMaintainer.bootstrap` -- materialise whatever standing state
-  the strategy needs (counts, cached extensions); optional for the lazy
-  strategies;
+- :meth:`StateMaintainer.bootstrap` -- materialise the standing state
+  (counts, cached extensions);
 - :meth:`StateMaintainer.apply` -- one-shot library entry point: compute the
   full-coverage :class:`~repro.interpretations.upward.UpwardResult` of a
   transaction, apply its base events to the database and advance the
@@ -28,25 +25,23 @@ protocol --
   next use).
 
 For the serving engine's staged commit protocol (check first, decide, then
-apply facts and caches together) the base class adds the finer-grained hooks
-:meth:`check` / :meth:`check_full` / :meth:`interpret` / :meth:`advance`;
-the default implementations express the conservative strategy (check
-through the processor, re-derive from scratch next time).
+apply facts and state together) each strategy also implements
+:meth:`~StateMaintainer.check_full` / :meth:`~StateMaintainer.interpret` /
+:meth:`~StateMaintainer.advance`: both compute every commit's induced
+delta, which the change feed forwards as the commit's frame.
 
-Implementations register themselves by name in :data:`MAINTAINERS` via
-``__init_subclass__``; :func:`create_maintainer` is the registry lookup the
-engine uses, and :class:`CacheMode` is the typed spelling of those names
-(legacy lowercase strings remain accepted).
+The serving engine picks the strategy from the program (docs/IVM.md):
+:class:`CountingMaintainer` for every program counting accepts,
+:class:`AdvancingMaintainer` for the recursive ones it refuses with
+:class:`~repro.interpretations.counting.CountingUnsupportedError`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from enum import Enum
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Sequence
 
 from repro.datalog.database import GLOBAL_IC, DeductiveDatabase, Row
-from repro.datalog.errors import DatalogError
 from repro.datalog.terms import Constant, Term
 from repro.events.events import Transaction
 from repro.interpretations.counting import (
@@ -61,61 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.problems.ic_checking import ICCheckResult
 
 
-class CacheMode(str, Enum):
-    """How a serving engine keeps derived state warm across commits.
-
-    The values are the wire/CLI spellings; the legacy lowercase strings
-    ``"advance"`` and ``"invalidate"`` (and ``"counting"``) are accepted
-    anywhere a :class:`CacheMode` is, via :meth:`of`.
-    """
-
-    #: Re-derive by upward interpretation, then patch cached extensions.
-    ADVANCE = "advance"
-    #: Drop caches on every write; re-materialise on next use.
-    INVALIDATE = "invalidate"
-    #: Maintain derivation counts incrementally during the commit.
-    COUNTING = "counting"
-
-    @classmethod
-    def of(cls, value: "CacheMode | str") -> "CacheMode":
-        """Coerce an enum member or legacy string to a :class:`CacheMode`."""
-        if isinstance(value, CacheMode):
-            return value
-        if isinstance(value, str):
-            try:
-                return cls(value.lower())
-            except ValueError:
-                pass
-        known = ", ".join(repr(mode.value) for mode in cls)
-        raise ValueError(f"unknown cache_mode: {value!r} (expected one of "
-                         f"{known})")
-
-    def __str__(self) -> str:  # json/logs show the wire spelling
-        return self.value
-
-
-#: Registry of maintainer implementations, keyed by CacheMode value.
-MAINTAINERS: dict[str, type["StateMaintainer"]] = {}
-
-
-def create_maintainer(mode: CacheMode | str,
-                      processor: "UpdateProcessor") -> "StateMaintainer":
-    """Instantiate the registered maintainer for *mode*."""
-    return MAINTAINERS[CacheMode.of(mode).value](processor)
-
-
 class StateMaintainer(ABC):
     """Strategy object owning the derived state of one processor."""
 
-    #: Registry key; subclasses set it to a CacheMode value.
-    name: ClassVar[str] = ""
-
-    #: Whether the strategy computes each commit's induced delta as part
-    #: of the commit (``check_full``/``interpret`` return an UpwardResult).
-    #: The change feed (docs/SUBSCRIPTIONS.md) emits those deltas for
-    #: free; strategies without them force the feed onto a before/after
-    #: diff of the watched predicates, which scales with the database.
-    sources_deltas: ClassVar[bool] = False
+    #: The strategy's name, as ``stats`` and ``health`` report it.
+    name: ClassVar[str]
 
     #: Whether :meth:`whatif` (and :meth:`check_full`) on an :attr:`active`
     #: maintainer only *reads* state that writers mutate.  The serving
@@ -123,11 +68,6 @@ class StateMaintainer(ABC):
     #: other and beside queries; strategies that answer through the
     #: processor's memoising interpreters serialise on its mutex instead.
     pure_whatifs: ClassVar[bool] = False
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if cls.name:
-            MAINTAINERS[cls.name] = cls
 
     def __init__(self, processor: "UpdateProcessor"):
         self._processor = processor
@@ -239,17 +179,17 @@ class StateMaintainer(ABC):
         """Integrity verdict for one transaction against the current state."""
         return self._processor.check(transaction)
 
+    @abstractmethod
     def check_full(self, transaction: Transaction) \
-            -> tuple["ICCheckResult", UpwardResult | None]:
-        """Verdict plus, when the strategy can, a full-coverage result
-        to later hand to :meth:`advance`."""
-        return self._processor.check(transaction), None
+            -> tuple["ICCheckResult", UpwardResult]:
+        """Verdict plus the full-coverage result to later hand to
+        :meth:`advance`."""
 
-    def interpret(self, transaction: Transaction) -> UpwardResult | None:
-        """Full-coverage induced events for an unchecked commit, or ``None``
-        when the strategy has nothing warm to advance."""
-        return None
+    @abstractmethod
+    def interpret(self, transaction: Transaction) -> UpwardResult:
+        """Full-coverage induced events of a commit no check ran for."""
 
+    @abstractmethod
     def advance(self, result: UpwardResult | None) -> None:
         """Advance maintained state across an applied transaction.
 
@@ -257,29 +197,13 @@ class StateMaintainer(ABC):
         the state the transaction was applied to; ``None`` (or a stale
         result) degrades to :meth:`reset`.
         """
-        self.reset()
-
-
-class InvalidatingMaintainer(StateMaintainer):
-    """Baseline strategy: caches are dropped on every write."""
-
-    name = CacheMode.INVALIDATE.value
-
-    def apply(self, transaction: Transaction) -> UpwardResult:
-        result = self._processor.upward(transaction)
-        self._apply_base(result.transaction)
-        self.reset()
-        return result
-
-    def reset(self) -> None:
-        self._processor.invalidate_state_caches()
 
 
 class AdvancingMaintainer(StateMaintainer):
-    """Patch warm interpreter caches with the induced events."""
+    """Patch the processor's memoised interpreter state with the induced
+    events: the maintainer of the recursive programs counting refuses."""
 
-    name = CacheMode.ADVANCE.value
-    sources_deltas = True
+    name = "advance"
 
     def apply(self, transaction: Transaction) -> UpwardResult:
         result = self._processor.upward(transaction)
@@ -291,16 +215,11 @@ class AdvancingMaintainer(StateMaintainer):
         self._processor.invalidate_state_caches()
 
     def check_full(self, transaction: Transaction) \
-            -> tuple["ICCheckResult", UpwardResult | None]:
+            -> tuple["ICCheckResult", UpwardResult]:
         return self._processor.check_full(transaction)
 
-    def interpret(self, transaction: Transaction) -> UpwardResult | None:
-        if not self._processor.has_warm_state:
-            return None
-        try:
-            return self._processor.upward(transaction)
-        except DatalogError:
-            return None
+    def interpret(self, transaction: Transaction) -> UpwardResult:
+        return self._processor.upward(transaction)
 
     def advance(self, result: UpwardResult | None) -> None:
         if result is None:
@@ -327,8 +246,7 @@ class CountingMaintainer(StateMaintainer):
     commit drops whatever a library caller warmed there.
     """
 
-    name = CacheMode.COUNTING.value
-    sources_deltas = True
+    name = "counting"
     pure_whatifs = True
 
     def __init__(self, processor: "UpdateProcessor"):
@@ -397,10 +315,6 @@ class CountingMaintainer(StateMaintainer):
 
 __all__ = [
     "AdvancingMaintainer",
-    "CacheMode",
     "CountingMaintainer",
-    "InvalidatingMaintainer",
-    "MAINTAINERS",
     "StateMaintainer",
-    "create_maintainer",
 ]

@@ -103,7 +103,10 @@ class EngineGroup:
         and persists the routing table; an existing one reloads its table
         (``shards`` must then match, if given) and recovers every shard,
         resolving any in-doubt cross-shard transactions against the
-        decision log.
+        decision log.  *engine_kwargs* go to every member's
+        :class:`DatabaseEngine`; ``cache_mode=`` / ``eval_engine=`` are
+        accepted there and select nothing (each member's program picks
+        its maintainer).
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)

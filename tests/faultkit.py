@@ -34,6 +34,7 @@ from repro import faults
 from repro.core.processor import UpdateProcessor
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.errors import DatalogError
+from repro.datalog.parser import parse_rule
 from repro.events.events import Transaction, delete, insert
 from repro.interpretations.downward import (
     DownwardInterpreter,
@@ -44,6 +45,25 @@ from repro.server.engine import DatabaseEngine
 from repro.workloads.generators import random_transaction
 
 FactSet = frozenset  # of (predicate, args) pairs
+
+
+def with_recursion(db: DeductiveDatabase) -> DeductiveDatabase:
+    """Add a recursive view to *db* in place, and return it.
+
+    ``Above`` is the transitive closure of ``Manages``, seeded as a chain
+    over the first four people in labour age, and ``Ic2`` forbids a
+    management cycle.  Counting refuses the recursion, so an engine
+    serves the result with the advancing maintainer: the recursive twin
+    of an employment fixture, for the tests of that path.
+    """
+    db.declare_base("Manages", 2)
+    db.add_rule(parse_rule("Above(x, y) <- Manages(x, y)."))
+    db.add_rule(parse_rule("Above(x, y) <- Manages(x, z) & Above(z, y)."))
+    db.add_constraint(parse_rule("Ic2(x) <- Above(x, x)."))
+    people = sorted(row[0].value for row in db.facts_of("La"))[:4]
+    for boss, report in zip(people, people[1:]):
+        db.add_fact("Manages", boss, report)
+    return db
 
 
 def base_facts(db: DeductiveDatabase) -> FactSet:
@@ -577,8 +597,7 @@ def crash_and_recover(engine: DatabaseEngine, directory: Path | str,
     abandons it (crashed or not), re-opens the directory and asserts the
     invariants.  The recovered engine is returned for further probing --
     the caller closes it.  ``engine_kwargs`` are forwarded to the
-    recovery :meth:`DatabaseEngine.open` (e.g. ``cache_mode``), so the
-    matrix can recover into the same maintainer it crashed with.
+    recovery :meth:`DatabaseEngine.open` (e.g. ``max_batch``).
     """
     report = run_workload(engine, **workload_kwargs)
     faults.reset()  # the recovery path itself must run clean

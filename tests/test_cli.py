@@ -380,17 +380,23 @@ class TestCliErrorPaths:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_serve_accepts_both_cache_modes(self):
+        """The old knobs still parse on ``serve`` and ``shard-serve``, and
+        ``--help`` says they select nothing."""
         from repro.cli import build_parser
 
-        for mode in ("advance", "invalidate"):
-            args = build_parser().parse_args(
-                ["serve", "data", "--cache-mode", mode])
-            assert args.cache_mode == mode
-        default = build_parser().parse_args(["serve", "data"])
-        assert default.cache_mode == "advance"
+        for command in ("serve", "shard-serve"):
+            for mode in ("advance", "invalidate", "counting"):
+                args = build_parser().parse_args(
+                    [command, "data", "--cache-mode", mode,
+                     "--eval-engine", "interpreted"])
+                assert args.cache_mode == mode
+            default = build_parser().parse_args([command, "data"])
+            assert default.cache_mode is None and default.eval_engine is None
 
-    def test_engine_rejects_bad_cache_mode(self, tmp_path):
-        from repro.server import DatabaseEngine
+    def test_serve_help_says_the_knobs_select_nothing(self, capsys):
+        from repro.cli import build_parser
 
-        with pytest.raises(ValueError, match="cache_mode"):
-            DatabaseEngine.open(tmp_path / "d", cache_mode="sometimes")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert text.count("selects nothing") == 2

@@ -1,11 +1,14 @@
 """Cache lifecycle tests: delta-driven maintenance of warm derived state.
 
-The engine's ``advance`` cache mode reuses the commit-time upward
-interpretation (the paper's view-maintenance reading of the event rules,
-Section 5.1.3) to patch the memoised derived extensions in place instead of
-invalidating them.  These tests pin down the lifecycle: when the cache
-advances, when it falls back to invalidation, and that readers can never
-observe a partially advanced cache.
+The engine serves a recursive program with the ``advance`` maintainer: it
+reuses the commit-time upward interpretation (the paper's
+view-maintenance reading of the event rules, Section 5.1.3) to patch the
+memoised derived extensions in place instead of invalidating them; every
+other program is served by ``counting``.  These tests pin down the
+lifecycle: when the cache advances, when it falls back to invalidation,
+and that readers can never observe a partially advanced cache.  The
+advance tests run on recursive programs (``faultkit.with_recursion``),
+the only input that maintainer serves.
 """
 
 import logging
@@ -36,20 +39,41 @@ def engine(tmp_path, employment_db):
     engine.close(checkpoint=False)
 
 
+@pytest.fixture
+def recursive_engine(tmp_path, employment_db):
+    engine = DatabaseEngine.open(
+        tmp_path / "d", initial=faultkit.with_recursion(employment_db))
+    assert engine.cache_mode == "advance"
+    yield engine
+    engine.close(checkpoint=False)
+
+
+#: The maintainers the engine picks from: counting, and advance for the
+#: recursive programs counting refuses.
+MAINTAINERS = ["counting", "advance"]
+
+
+def open_engine(tmp_path, db, maintainer: str) -> DatabaseEngine:
+    """An engine over *db* served by *maintainer*: for ``advance``, *db*
+    gets :func:`faultkit.with_recursion`'s view first."""
+    if maintainer == "advance":
+        faultkit.with_recursion(db)
+    engine = DatabaseEngine.open(tmp_path / "d", initial=db)
+    assert engine.cache_mode == maintainer
+    return engine
+
+
 def fresh_extension(db, predicate: str):
     """Oracle: the predicate's extension via a from-scratch interpreter."""
     return UpwardInterpreter(db).old_extension(predicate)
 
 
 class TestCacheModes:
-    def test_invalid_cache_mode_rejected(self, tmp_path, employment_db):
-        with pytest.raises(ValueError, match="cache_mode"):
-            DatabaseEngine.open(tmp_path / "d", initial=employment_db,
-                                cache_mode="nonsense")
+    """The advance maintainer's cache lifecycle, on recursive programs."""
 
     def test_advance_mode_keeps_cache_warm(self, tmp_path):
-        engine = DatabaseEngine.open(
-            tmp_path / "d", initial=employment_database(30, seed=3))
+        engine = open_engine(tmp_path, employment_database(30, seed=3),
+                             "advance")
         try:
             engine.check(parse_transaction("insert Works(Probe)"))  # warm up
             for i in range(5):
@@ -71,45 +95,30 @@ class TestCacheModes:
         finally:
             engine.close(checkpoint=False)
 
-    def test_invalidate_mode_rematerializes_each_round(self, tmp_path):
-        engine = DatabaseEngine.open(
-            tmp_path / "d", initial=employment_database(30, seed=3),
-            cache_mode="invalidate")
-        try:
-            engine.check(parse_transaction("insert Works(Probe)"))
-            for i in range(5):
-                engine.commit(parse_transaction(
-                    f"insert La(N{i}); insert U_benefit(N{i})"))
-                engine.check(parse_transaction(f"insert Works(N{i})"))
-            counters = engine.stats()["counters"]
-            assert counters["cache.invalidate"] == 5
-            assert counters["cache.rematerialize"] == 6
-            assert "cache.advance" not in counters
-            assert engine.stats()["engine"]["cache_epoch"] == 5
-        finally:
-            engine.close(checkpoint=False)
-
     def test_advance_without_constraints(self, tmp_path):
-        """With no constraints the commit check never runs, but a warm
-        cache still advances via one incremental pass."""
+        """With no constraints the commit check never runs, but the
+        commit still interprets once -- warming a cold cache -- and
+        advances with that pass."""
         db = DeductiveDatabase.from_source("""
-            Q(A). Q(B). R(B).
+            Q(A). Q(B). R(B). E(A, B).
             P(x) <- Q(x) & not R(x).
+            P(x) <- E(x, y) & P(y).
         """)
         engine = DatabaseEngine.open(tmp_path / "d", initial=db)
         try:
-            # query() uses a fresh evaluator; warm the interpreter cache
-            # the way a reader of induced events would.
-            engine.upward(parse_transaction("insert Q(Z)"))
+            assert engine.cache_mode == "advance"
             engine.commit(parse_transaction("insert Q(C)"))
+            engine.commit(parse_transaction("insert E(D, C)"))
             counters = engine.stats()["counters"]
-            assert counters.get("cache.advance") == 1
+            assert counters.get("cache.advance") == 2
+            assert counters.get("cache.rematerialize") == 1
             assert engine._processor._upward.old_extension("P") == \
                 fresh_extension(engine.db, "P")
         finally:
             engine.close(checkpoint=False)
 
-    def test_checkpoint_invalidates(self, engine):
+    def test_checkpoint_invalidates(self, recursive_engine):
+        engine = recursive_engine
         engine.check(parse_transaction("insert Works(Maria)"))
         engine.commit(parse_transaction("insert La(Pere)"))
         engine.checkpoint()
@@ -117,9 +126,10 @@ class TestCacheModes:
         assert counters.get("cache.invalidate", 0) >= 1
         assert engine.stats()["engine"]["cache_epoch"] >= 1
 
-    def test_slow_path_invalidates(self, engine):
+    def test_slow_path_invalidates(self, recursive_engine):
         """There is no slow path: a non-reject policy runs the same commit
         step, so its commit advances the warm cache like any other."""
+        engine = recursive_engine
         engine.check(parse_transaction("insert Works(Maria)"))
         outcome = engine.commit(parse_transaction("insert La(Pere)"),
                                 on_violation="maintain")
@@ -159,12 +169,11 @@ class TestReadsServedFromMaintainedState:
         assert engine.commit(parse_transaction(
             f"insert La(N{i}); insert U_benefit(N{i})")).applied
 
-    @pytest.mark.parametrize("mode", ["advance", "counting"])
-    def test_warm_queries_construct_no_evaluator(self, tmp_path, mode,
+    @pytest.mark.parametrize("maintainer", MAINTAINERS)
+    def test_warm_queries_construct_no_evaluator(self, tmp_path, maintainer,
                                                  evaluators_built):
-        engine = DatabaseEngine.open(
-            tmp_path / "d", initial=employment_database(30, seed=3),
-            cache_mode=mode)
+        engine = open_engine(tmp_path, employment_database(30, seed=3),
+                             maintainer)
         try:
             engine.query("Unemp(x)")  # advance materialises here, once
             for i in range(3):  # fast-path commits keep the state warm
@@ -176,34 +185,17 @@ class TestReadsServedFromMaintainedState:
                     f"{len(self.GOALS)} warm reads")
                 assert answers == [engine.db.query(g) for g in self.GOALS]
             assert engine.metrics.counter("query.warmups") == \
-                (1 if mode == "advance" else 0)
+                (1 if maintainer == "advance" else 0)
         finally:
             engine.close(checkpoint=False)
 
-    def test_invalidate_materialises_once_per_commit(self, tmp_path,
-                                                     evaluators_built):
-        engine = DatabaseEngine.open(
-            tmp_path / "d", initial=employment_database(30, seed=3),
-            cache_mode="invalidate")
-        try:
-            for i in range(3):
-                self._commit(engine, i)  # drops the maintained state
-                evaluators_built.clear()
-                answers = [engine.query(goal) for goal in self.GOALS]
-                assert len(evaluators_built) == 1  # not one per read
-                assert answers == [engine.db.query(g) for g in self.GOALS]
-            assert engine.metrics.counter("query.warmups") == 3
-        finally:
-            engine.close(checkpoint=False)
-
-    @pytest.mark.parametrize("mode", ["advance", "invalidate", "counting"])
-    def test_resets_are_rewarmed_once(self, tmp_path, mode):
+    @pytest.mark.parametrize("maintainer", MAINTAINERS)
+    def test_resets_are_rewarmed_once(self, tmp_path, maintainer):
         """A checkpoint resets the maintainer; the next read warms it and
         the reads after that are warm again.  A ``maintain`` commit is no
         reset: it advances like any other commit."""
-        engine = DatabaseEngine.open(
-            tmp_path / "d", initial=employment_database(30, seed=3),
-            cache_mode=mode)
+        engine = open_engine(tmp_path, employment_database(30, seed=3),
+                             maintainer)
         try:
             engine.query("Unemp(x)")
             base = engine.metrics.counter("query.warmups")
@@ -215,8 +207,7 @@ class TestReadsServedFromMaintainedState:
                                  on_violation="maintain").repairs
             for goal in self.GOALS:
                 assert engine.query(goal) == engine.db.query(goal)
-            # Only ``invalidate`` forgets across a commit.
-            base += 2 if mode == "invalidate" else 1
+            base += 1
             assert engine.metrics.counter("query.warmups") == base
             engine.checkpoint()
             for goal in self.GOALS:
@@ -227,30 +218,37 @@ class TestReadsServedFromMaintainedState:
 
 
 class TestAdvanceMatchesRematerialize:
-    """Advanced and from-scratch extensions agree on example programs."""
+    """Advanced and from-scratch extensions agree on recursive example
+    programs."""
 
     CASES = {
         "stratified-negation": (
             """
             La(Dolors). La(Joan). Works(Joan). U_benefit(Dolors).
+            Refers(Joan, Dolors).
             Unemp(x) <- La(x) & not Works(x).
+            Linked(x, y) <- Refers(x, y).
+            Linked(x, y) <- Refers(x, z) & Linked(z, y).
             Ic1 <- Unemp(x) & not U_benefit(x).
             """,
             "insert Works(Dolors)",
-            ("insert La(Mar); insert U_benefit(Mar)",
+            ("insert La(Mar); insert U_benefit(Mar); "
+             "insert Refers(Dolors, Mar)",
              "insert Works(Joan2)",
-             "insert La(Nil); insert U_benefit(Nil); insert Works(Nil)"),
+             "insert La(Nil); insert U_benefit(Nil); insert Works(Nil); "
+             "delete Refers(Joan, Dolors)"),
         ),
         "two-level-views": (
             """
-            Q(A). Q(B). R(B). S(A).
+            Q(A). Q(B). R(B). S(A). E(A, B).
             P(x) <- Q(x) & not R(x).
+            P(x) <- E(x, y) & P(y).
             T(x) <- P(x) & S(x).
             """,
             "insert Q(Z)",
             ("insert Q(C); insert S(C)",
              "insert R(A)",
-             "insert Q(D)"),
+             "insert Q(D); insert E(D, C)"),
         ),
     }
 
@@ -261,6 +259,7 @@ class TestAdvanceMatchesRematerialize:
         derived = sorted(db.schema.derived)
         engine = DatabaseEngine.open(tmp_path / "d", initial=db)
         try:
+            assert engine.cache_mode == "advance"
             engine.upward(parse_transaction(warmup))  # warm the cache
             for commit in commits:
                 engine.commit(parse_transaction(commit))
@@ -306,8 +305,8 @@ class TestConcurrentReaders:
         reader that catches the cache mid-advance would see a verdict that
         matches *neither* the pre- nor the post-commit database.
         """
-        engine = DatabaseEngine.open(
-            tmp_path / "d", initial=employment_database(20, seed=11))
+        engine = open_engine(tmp_path, employment_database(20, seed=11),
+                             "advance")
         failures: list[str] = []
         stop = threading.Event()
 
@@ -376,8 +375,7 @@ class TestConcurrentReaders:
         not once per reader.
         """
         initial = employment_database(20, seed=11)
-        engine = DatabaseEngine.open(
-            tmp_path / "d", initial=initial, cache_mode="counting")
+        engine = DatabaseEngine.open(tmp_path / "d", initial=initial)
         # Stretch the warm-up (sleeping drops the GIL) so that readers
         # which are not serialised around it would all pile in.
         bootstrap = engine.maintainer.bootstrap
@@ -520,7 +518,6 @@ class TestMemoisedScans:
 
     #: ``Unemp(y)`` is the renamed-variable twin of ``Unemp(x)``.
     GOALS = ("Unemp(x)", "Works(x)", "Ic1(x)", "Unemp(y)")
-    MODES = ["advance", "invalidate", "counting"]
 
     @classmethod
     def _read_twice(cls, engine) -> None:
@@ -585,18 +582,17 @@ class TestMemoisedScans:
         assert engine.commit(parse_transaction(
             "insert La(N6), insert U_benefit(N6)")).applied
         engine.close(checkpoint=False)  # the reopen replays the WAL
-        return DatabaseEngine.open(tmp_path / "d",
-                                   cache_mode=engine.cache_mode)
+        return DatabaseEngine.open(tmp_path / "d")
 
     WRITES = ["applied", "rejected", "maintained", "ignored",
               "prepare_commit", "prepare_abort", "checkpoint", "reopen"]
 
     @pytest.mark.parametrize("write", WRITES)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_a_write_makes_the_next_scan_fresh(self, tmp_path, mode, write):
-        engine = DatabaseEngine.open(
-            tmp_path / "d", initial=employment_database(30, seed=3),
-            cache_mode=mode)
+    @pytest.mark.parametrize("maintainer", MAINTAINERS)
+    def test_a_write_makes_the_next_scan_fresh(self, tmp_path, maintainer,
+                                               write):
+        engine = open_engine(tmp_path, employment_database(30, seed=3),
+                             maintainer)
         try:
             self._read_twice(engine)
             engine = getattr(self, f"_{write}")(engine, tmp_path)
@@ -645,10 +641,7 @@ class TestMemoisedScans:
         finally:
             engine.close(checkpoint=False)
 
-    # ``advance`` is left out: the same reads, at five times the commit cost.
-    @pytest.mark.parametrize("mode", ["invalidate", "counting"])
-    def test_scans_racing_a_writer_see_a_committed_prefix(self, tmp_path,
-                                                          mode):
+    def test_scans_racing_a_writer_see_a_committed_prefix(self, tmp_path):
         """Four readers scan ``Unemp(x)`` while 200 dismiss / rehire
         toggles commit.  Toggle *k* flips ``Works(W{k % 10})``, so the
         unemployed W's after a prefix repeat only every 20 commits; a
@@ -672,8 +665,7 @@ class TestMemoisedScans:
             prefixes_of.setdefault(tuple(state.query("Unemp(x)")),
                                    []).append(index)
         assert len(prefixes_of) == 20
-        engine = DatabaseEngine.open(tmp_path / "d", initial=initial,
-                                     cache_mode=mode)
+        engine = DatabaseEngine.open(tmp_path / "d", initial=initial)
         acked = 0
         scans = [0] * 4  # per reader: scans finished
         done = threading.Event()
@@ -725,4 +717,33 @@ class TestMemoisedScans:
         finally:
             sys.setswitchinterval(switch_interval)
             done.set()
+            engine.close(checkpoint=False)
+
+
+class TestRecursiveServingMaterialisesOnce:
+    """Commits advance the recursive program's warm state instead of
+    dropping it, so an interleaved read-heavy workload materialises the
+    old state exactly once -- the first commit's check -- whatever the
+    number of rounds."""
+
+    ROUNDS = 8
+    READS_PER_ROUND = 6
+
+    def test_commits_then_reads_make_one_full_materialisation(self,
+                                                              tmp_path):
+        engine = open_engine(tmp_path, employment_database(60, seed=3),
+                             "advance")
+        try:
+            for round_ in range(self.ROUNDS):
+                name = f"N{round_}"
+                assert engine.commit(Transaction(
+                    [insert("La", name), insert("U_benefit", name)])).applied
+                for read in range(self.READS_PER_ROUND):
+                    assert engine.check(Transaction(
+                        [insert("Works", f"R{round_}_{read}")])).ok
+            counters = engine.stats()["counters"]
+            assert counters["cache.rematerialize"] == 1
+            assert counters["cache.advance"] == self.ROUNDS
+            assert "cache.invalidate" not in counters
+        finally:
             engine.close(checkpoint=False)

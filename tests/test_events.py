@@ -121,8 +121,7 @@ class TestTransactionSemantics:
         from repro.workloads import employment_database
 
         engine = DatabaseEngine.open(
-            tmp_path / "db", initial=employment_database(20, seed=1),
-            cache_mode="counting")
+            tmp_path / "db", initial=employment_database(20, seed=1))
         try:
             built = []
             original = Transaction.__init__

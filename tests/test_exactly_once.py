@@ -156,10 +156,10 @@ def test_retry_through_commit_crash_counting_mode(tmp_path):
     """Exactly-once replays hold under the counting maintainer too: the
     recovered engine re-bootstraps counts, replays are pure dedup hits,
     and the maintained extensions match the oracle."""
-    engine = fresh_engine(tmp_path, cache_mode="counting")
+    engine = fresh_engine(tmp_path)
     faults.arm(engine_mod.FP_MID_CACHE_ADVANCE, "crash", skip=1, times=1)
     report, recovered = faultkit.run_workload_with_retries(
-        engine, tmp_path / "db", steps=25, seed=3, cache_mode="counting")
+        engine, tmp_path / "db", steps=25, seed=3)
     try:
         assert report.crashes == 1
         assert recovered.maintainer.active
@@ -255,7 +255,7 @@ def test_fast_rejection_is_replayed_not_rechecked_after_a_crash(tmp_path):
     still leaves its outcome marker: after the process dies un-closed the
     retry gets the recorded 'no' -- even once the state has moved so that
     a fresh check would say yes."""
-    engine = fresh_engine(tmp_path, cache_mode="counting")
+    engine = fresh_engine(tmp_path)
     transaction = strip_benefit(engine)
     person = idle_people(engine)[0]
     verdict = engine.check(transaction)
@@ -264,7 +264,7 @@ def test_fast_rejection_is_replayed_not_rechecked_after_a_crash(tmp_path):
     assert rejected.check.violations == verdict.violations
     assert engine.metrics.counter("commit.rejected_fast") == 1
     assert engine.processor._upward is None  # nobody re-checked it
-    recovered = faultkit.recover(tmp_path / "db", cache_mode="counting")
+    recovered = faultkit.recover(tmp_path / "db")
     try:
         assert recovered.commit(parse_transaction(
             f"insert Works({person})")).applied

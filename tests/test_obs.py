@@ -13,6 +13,8 @@ from repro.server.client import DatabaseClient
 from repro.server.engine import DatabaseEngine
 from repro.server.server import ServerThread
 
+from tests import faultkit
+
 
 @pytest.fixture(autouse=True)
 def _tracing_disabled():
@@ -55,9 +57,11 @@ class TestEngineQuerySpan:
     nothing when nobody is tracing."""
 
     def test_span_names_the_read_path(self, tmp_path, employment_db):
-        # The default (advance) maintainer opens cold: the first derived
-        # read warms it, the ones after that are served from it.
-        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
+        # The advance maintainer (a recursive program) opens cold: the
+        # first derived read warms it, the ones after that are served
+        # from it.
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=faultkit.with_recursion(employment_db))
         try:
             paths = []
             with obs.use() as tracer:
@@ -73,7 +77,8 @@ class TestEngineQuerySpan:
 
     def test_repeated_scan_reads_memo_until_a_write(self, tmp_path,
                                                     employment_db):
-        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=faultkit.with_recursion(employment_db))
         try:
             paths = []
             with obs.use() as tracer:
@@ -118,8 +123,7 @@ class TestEngineWhatifSpan:
         return getattr(engine, op)(probe, *arguments)
 
     def test_span_names_op_and_path(self, tmp_path, employment_db):
-        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db,
-                                     cache_mode="counting")
+        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
         try:
             seen = []
             with obs.use() as tracer:
@@ -155,7 +159,8 @@ class TestEngineWhatifSpan:
 
     def test_other_maintainers_answer_through_the_processor(
             self, tmp_path, employment_db):
-        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=faultkit.with_recursion(employment_db))
         try:
             with obs.use() as tracer:
                 self._run(engine, "check")
@@ -170,8 +175,7 @@ class TestEngineWhatifSpan:
         def forbidden(*args, **kwargs):
             raise AssertionError("tracing is off: no span work expected")
 
-        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db,
-                                     cache_mode="counting")
+        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
         try:
             monkeypatch.setattr(obs.Span, "__init__", forbidden)
             monkeypatch.setattr(type(obs.NULL_SPAN), "set", forbidden)
@@ -362,8 +366,10 @@ class TestHistogramRoundTrip:
 
     def test_stats_histograms_round_trip_through_client(self, tmp_path,
                                                         employment_db):
-        """Server-side span histograms survive the wire bucket-for-bucket."""
-        engine = DatabaseEngine.open(tmp_path / "d", initial=employment_db)
+        """Server-side span histograms survive the wire bucket-for-bucket
+        (a recursive program: its advance maintainer evaluates strata)."""
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=faultkit.with_recursion(employment_db))
         try:
             with obs.use() as tracer:
                 with ServerThread(engine) as port:

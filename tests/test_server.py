@@ -116,7 +116,7 @@ class TestClientServer:
             assert stats["requests"]["query"]["count"] >= 1
             assert stats["counters"]["server.connections"] >= 1
             # Cache lifecycle state rides the same payload.
-            assert stats["engine"]["cache_mode"] == "advance"
+            assert stats["engine"]["cache_mode"] == "counting"
             assert isinstance(stats["engine"]["cache_epoch"], int)
 
     def test_two_clients_interleave(self, server):
@@ -249,11 +249,17 @@ class TestSlowOpLog:
         messages = [r.getMessage() for r in caplog.records]
         assert any("slow op" in m and "query" in m for m in messages)
 
-    def test_slow_op_log_includes_trace_when_enabled(self, engine, caplog):
+    def test_slow_op_log_includes_trace_when_enabled(self, tmp_path,
+                                                     employment_db, caplog):
         import logging
 
         from repro.obs import tracer as obs
+        from tests import faultkit
 
+        # A recursive program: its advance maintainer materialises on the
+        # first read, so the logged trace has an evaluation span in it.
+        engine = DatabaseEngine.open(
+            tmp_path / "d", initial=faultkit.with_recursion(employment_db))
         with obs.use():
             with ServerThread(engine, slow_op_threshold=0.0) as port:
                 with caplog.at_level(logging.WARNING, logger="repro.server"):
@@ -376,8 +382,7 @@ class TestShutdown:
         """A peer that floods requests and never reads parks its session
         in sendall(); shutdown gives it one request timeout, then cuts."""
         engine = DatabaseEngine.open(tmp_path / "stall",
-                                     initial=many_unemployed_db,
-                                     cache_mode="counting")
+                                     initial=many_unemployed_db)
         thread = ServerThread(engine, request_timeout=0.2)
         port = thread.start()
         query = (b'{"v": 1, "op": "query", "params": {"goal": "Unemp(x)"}}'
