@@ -10,7 +10,9 @@ This package turns a deductive database into its *transition program*:
   interpretations manipulate;
 - :mod:`repro.events.transition` -- transition rules (§3.2);
 - :mod:`repro.events.event_rules` -- insertion/deletion event rules (§3.3)
-  with the optional [Oli91]-style simplifications.
+  with the optional [Oli91]-style simplifications;
+- :mod:`repro.events.shapes` -- the templates both readings of those rules
+  keep per request shape (§4).
 """
 
 from repro.events.naming import (

@@ -19,15 +19,18 @@ formulas only has to re-check subsumption across the union.  Every result of
 the algebra (and ``true`` / ``false``) is therefore *minimal* -- no conjunct
 is contradictory or subsumed -- and :meth:`Dnf.simplified` returns a minimal
 formula unchanged.  Formulas built by hand from conjuncts are not assumed
-minimal and are cleaned in full.  Above :attr:`Dnf.SUBSUMPTION_LIMIT`
-conjuncts the subsumption pass is skipped and the result is not minimal.
+minimal and are cleaned in full, at every size: translations are *minimal*
+explanations, so minimality is specification, not optimisation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable, Iterator, Mapping
 
+from repro.datalog.errors import ComplexityLimitExceeded
 from repro.datalog.rules import Atom, Literal
 from repro.datalog.terms import Term
 from repro.datalog.unification import (Substitution, rename_terms,
@@ -68,26 +71,27 @@ def _is_contradictory(conjunct: Conjunct) -> bool:
     return False
 
 
-def _without_subsumed(conjuncts: Iterable[Conjunct],
-                      subsume: bool | None = None) -> "Dnf":
-    """The formula of contradiction-free *conjuncts*, subsumed ones dropped.
+def _without_subsumed(conjuncts: Iterable[Conjunct]) -> "Dnf":
+    """The minimal formula of contradiction-free *conjuncts*.
 
-    ``subsume`` as in :meth:`Dnf.simplified`; the result is minimal exactly
-    when the subsumption pass ran.
+    Smallest first, each conjunct is kept unless a kept one is its subset.
+    A kept conjunct is filed under its rarest literal, and a candidate is
+    tested only against those filed under its own literals: a kept subset
+    is filed under one of them.
     """
-    viable = list(conjuncts)
-    if subsume is None:
-        subsume = len(viable) <= Dnf.SUBSUMPTION_LIMIT
-    if not subsume:
-        return Dnf(frozenset(viable))
-    viable.sort(key=len)
-    kept: list[Conjunct] = []
+    viable = sorted(set(conjuncts), key=len)
+    if not viable or not viable[0]:
+        return TRUE_DNF if viable else FALSE_DNF
+    frequency = Counter(literal for conjunct in viable
+                        for literal in conjunct)
+    filed: dict[Literal, list[Conjunct]] = {}
+    kept = []
     for conjunct in viable:
-        for previous in kept:
-            if previous <= conjunct:
-                break
-        else:
+        if not any(previous <= conjunct for literal in conjunct
+                   for previous in filed.get(literal, ())):
             kept.append(conjunct)
+            filed.setdefault(min(conjunct, key=frequency.__getitem__),
+                             []).append(conjunct)
     return _minimal(frozenset(kept))
 
 
@@ -165,30 +169,38 @@ class Dnf:
             return other
         return _without_subsumed(self.disjuncts | other.disjuncts)
 
-    def and_(self, other: "Dnf") -> "Dnf":
-        """Conjunction: cross-product of conjuncts, pruning contradictions."""
+    def and_(self, other: "Dnf", max_size: int | None = None) -> "Dnf":
+        """Conjunction: cross-product of conjuncts, pruning contradictions.
+
+        With ``max_size``, raises :class:`ComplexityLimitExceeded` once more
+        than that many distinct conjuncts survive the pruning, before the
+        subsumption pass runs on them.
+        """
         if self.minimal and other.disjuncts == _TRUE_DISJUNCTS:
             return self
         if other.minimal and self.disjuncts == _TRUE_DISJUNCTS:
             return other
+        bound = inf if max_size is None else max_size
         merged: set[Conjunct] = set()
         for left in self.disjuncts:
             for right in other.disjuncts:
                 conjunct = left | right
                 if not _is_contradictory(conjunct):
                     merged.add(conjunct)
+                    if len(merged) > bound:
+                        raise ComplexityLimitExceeded(
+                            f"DNF grew past {max_size} disjuncts")
         return _without_subsumed(merged)
 
     def negated(self, max_size: int | None = None) -> "Dnf":
         """Logical negation, re-expanded to DNF.
 
         ``¬(C1 ∨ ... ∨ Cn) = ¬C1 ∧ ... ∧ ¬Cn`` where each ``¬Ci`` is the
-        disjunction of the negated literals of ``Ci``.  The expansion is
-        exponential in the worst case; ``max_size`` bounds the intermediate
-        result and raises :class:`ComplexityLimitExceeded` beyond it.
+        disjunction of the negated literals of ``Ci``, conjoined one clause
+        at a time and minimal after each.  The expansion is exponential in
+        the worst case; ``max_size`` bounds each conjunction as in
+        :meth:`and_`.
         """
-        from repro.datalog.errors import ComplexityLimitExceeded
-
         if self.is_false:
             return TRUE_DNF
         if self.is_true:
@@ -198,29 +210,18 @@ class Dnf:
         result = TRUE_DNF
         for conjunct in clauses:
             clause = Dnf(frozenset(frozenset({lit.negate()}) for lit in conjunct))
-            result = result.and_(clause)
-            if max_size is not None and len(result) > max_size:
-                raise ComplexityLimitExceeded(
-                    f"DNF negation grew past {max_size} disjuncts"
-                )
+            result = result.and_(clause, max_size)
         return result
 
-    #: Above this many conjuncts the quadratic subsumption pass is skipped
-    #: (it is an optimisation -- logical equivalence is unaffected).
-    SUBSUMPTION_LIMIT = 600
-
-    def simplified(self, subsume: bool | None = None) -> "Dnf":
+    def simplified(self) -> "Dnf":
         """Drop contradictory conjuncts and subsumed (superset) conjuncts.
 
-        ``subsume`` forces the subsumption pass on (True) or off (False);
-        by default it runs only below :data:`SUBSUMPTION_LIMIT` conjuncts,
-        since it costs O(n²) subset tests.  A minimal formula has nothing
-        to drop and is returned as it is.
+        A minimal formula has nothing to drop and is returned as it is.
         """
         if self.minimal:
             return self
         return _without_subsumed(
-            (c for c in self.disjuncts if not _is_contradictory(c)), subsume)
+            c for c in self.disjuncts if not _is_contradictory(c))
 
     def substitute(self, subst: Substitution) -> "Dnf":
         """Apply a substitution to every literal."""

@@ -50,6 +50,7 @@ from repro.events.naming import (
     ins_name,
     new_name,
 )
+from repro.events.shapes import Shapes
 from repro.events.transition import (
     TransitionCompiler,
     TransitionRule,
@@ -122,26 +123,27 @@ class TransitionProgram:
     source_rules: tuple[Rule, ...] = field(default=())
     #: Diagnostic carried when :attr:`stratification` is None.
     stratification_failure: str | None = None
-    #: The downward interpreter's templates, per option set and request
-    #: shape (:mod:`repro.interpretations.downward`); built lazily, they
-    #: live as long as the program, across every fact-level change.
-    downward_templates: dict = field(default_factory=dict, init=False,
-                                     compare=False, repr=False)
-    #: The counting engine's upward templates, per transaction shape
-    #: (:mod:`repro.interpretations.counting`); built lazily, like
-    #: :attr:`downward_templates`.
-    upward_templates: dict = field(default_factory=dict, init=False,
-                                   compare=False, repr=False)
+    #: The downward interpreter's templates, per option set
+    #: (:mod:`repro.events.shapes`); built lazily, they live as long as the
+    #: program, across every fact-level change.
+    downward_templates: dict[tuple, Shapes] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
-    def constants(self) -> frozenset[Constant]:
-        """Every constant the transition rules mention."""
-        return frozenset(
-            term
-            for rules in self.transition_rules.values() for rule in rules
-            for atom in (rule.head, *(literal.atom for disjunct in
-                                      rule.disjuncts for literal in disjunct))
-            for term in atom.constants())
+    def constants(self) -> tuple[Constant, ...]:
+        """Every constant the rules mention, in a fixed order."""
+        return tuple(sorted(
+            {term for rule in self.source_rules
+             for atom in (rule.head, *(literal.atom for literal in rule.body))
+             for term in atom.constants()},
+            key=lambda constant: (type(constant.value).__name__,
+                                  constant.value)))
+
+    @cached_property
+    def upward_templates(self) -> Shapes:
+        """The counting engine's templates (:mod:`repro.events.shapes`),
+        kept like :attr:`downward_templates`."""
+        return Shapes(self.constants)
 
     def require_flat_program(self) -> Stratification:
         """Stratification of the flat program, or a descriptive error.

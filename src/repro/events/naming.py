@@ -40,6 +40,10 @@ class EventKind(Enum):
     #: every event-set operation Enum's Python-level ``__hash__``.
     __hash__ = object.__hash__
 
+    def __lt__(self, other: "EventKind") -> bool:
+        # Ordered by value, so shape keys holding kinds sort.
+        return self.value < other.value
+
     @property
     def symbol(self) -> str:
         """The paper's one-character notation."""

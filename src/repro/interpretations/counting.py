@@ -25,18 +25,11 @@ triggers, and maintenance cost is proportional to |delta|, not |EDB|.
 Only the ground *probes* of an evaluation read the state: a base fact, a
 derived tuple's membership in its extension, a built-in test, and the
 zero-crossing class (gained / lost / none) of each touched count.  So
-:meth:`CountingEngine.delta` keeps each normalised transaction's *shape*
-(each constant replaced by the slot of its first occurrence) as a
-template: a trie over the outcomes of the distinct probes an evaluation
-ran, whose leaf holds the induced events and the staged count change over
-the slots.  A transaction of a known shape and branch runs only those
-probes and renames the leaf back to its constants; an unseen branch is
-evaluated once more and added.  The trie lives on the
-:class:`TransitionProgram`, so it survives every change of the facts and
-every rebuild of the counts; at most :data:`_MAX_SHAPES` shapes are kept.
-Branches that enumerate (a lookup with an unbound argument), transactions
-naming a rule's constant, rederivations and raising evaluations are never
-templated.
+:meth:`CountingEngine.delta` keeps each normalised transaction's shape as a
+template in the program's :class:`~repro.events.shapes.Shapes` store (see
+:mod:`repro.events.shapes`), whose leaf holds the induced events and the
+staged count change over the slots.  Rederivations and raising evaluations
+are never templated.
 
 Stratified negation is supported exactly: a negative literal contributes
 set-semantics satisfaction changes with flipped polarity, which is the
@@ -54,8 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import groupby, permutations, product
-from math import factorial, prod
+from itertools import chain
 from typing import (AbstractSet, Callable, Iterable, Iterator, Mapping,
                     NamedTuple, Sequence)
 
@@ -68,8 +60,9 @@ from repro.datalog.stratify import dependency_graph
 from repro.datalog.terms import Constant
 from repro.datalog.unification import Substitution, match_tuple, resolve
 from repro.events.event_rules import EventCompiler, TransitionProgram
-from repro.events.events import Event, Transaction
+from repro.events.events import Transaction
 from repro.events.naming import del_name, ins_name
+from repro.events.shapes import Probes
 from repro.interpretations.upward import UpwardResult, _event_rows
 
 Row = tuple[Constant, ...]
@@ -193,275 +186,96 @@ class ExtentView(Set):
         return f"ExtentView({set(self._rows)!r})"
 
 
-class _AdjustedSet:
-    """A set plus a pending (gained, lost) overlay, without copying."""
-
-    __slots__ = ("_base", "_gained", "_lost")
-
-    def __init__(self, base: set[Row], gained: set[Row], lost: set[Row]):
-        self._base = base
-        self._gained = gained
-        self._lost = lost
-
-    def __contains__(self, row: Row) -> bool:
-        if row in self._gained:
-            return True
-        return row in self._base and row not in self._lost
-
-    def __iter__(self) -> Iterator[Row]:
-        for row in self._base:
-            if row not in self._lost:
-                yield row
-        yield from self._gained
-
-
-# -- templates -------------------------------------------------------------------
-
-
-class _Recorder:
-    """The distinct ground probes of one evaluation, in order, with their
-    outcomes; how many probes preceded its first enumeration, if any; and
-    whether it rederived, which keeps it out of the templates."""
-
-    __slots__ = ("probes", "enumerated_at", "rederived")
-
-    def __init__(self) -> None:
-        self.probes: dict[tuple, object] = {}
-        self.enumerated_at: int | None = None
-        self.rederived = False
-
-    def enumerate(self) -> None:
-        if self.enumerated_at is None:
-            self.enumerated_at = len(self.probes)
-
-    def probe(self, key: tuple, outcome):
-        self.probes.setdefault(key, outcome)
-        return outcome
-
-    def builtin(self, predicate: str, row: Row) -> bool:
-        return self.probe(("builtin", predicate, row, 0),
-                          evaluate_builtin(predicate, row))
-
-
-class _RecordedFacts:
-    """The database as a recorded evaluation reads it."""
-
-    __slots__ = ("_db", "_recorder")
-
-    def __init__(self, db: DeductiveDatabase, recorder: _Recorder):
-        self._db = db
-        self._recorder = recorder
-
-    def has_fact(self, predicate: str, *row) -> bool:
-        return self._recorder.probe(("fact", predicate, row, 0),
-                                    self._db.has_fact(predicate, *row))
-
-    def lookup(self, predicate: str, pattern: Sequence) -> Iterator[Row]:
-        self._recorder.enumerate()
-        return self._db.lookup(predicate, pattern)
-
-
-class _RecordedExtent:
-    """A maintained extension as a recorded evaluation reads it."""
-
-    __slots__ = ("_predicate", "_rows", "_recorder")
-
-    def __init__(self, predicate: str, rows: set[Row], recorder: _Recorder):
-        self._predicate = predicate
-        self._rows = rows
-        self._recorder = recorder
-
-    def __contains__(self, row: Row) -> bool:
-        return self._recorder.probe(("member", self._predicate, row, 0),
-                                    row in self._rows)
-
-    def __iter__(self) -> Iterator[Row]:
-        self._recorder.enumerate()
-        return iter(self._rows)
-
-
-class _Probe:
-    """A trie node: one probe over slot rows, children by its outcome.
-
-    ``kind`` is ``fact`` (a base fact), ``member`` (a derived tuple in its
-    maintained extension), ``builtin`` or ``count`` (the zero-crossing
-    class of ``predicate(row)``'s count under ``change``).  A row holds
-    indexes into the request's slot constants followed by the rule
-    constants.
-    """
-
-    __slots__ = ("key", "children")
-
-    def __init__(self, key: tuple, children: dict):
-        self.key = key
-        self.children = children
-
-
 class _Leaf(NamedTuple):
-    """A trie leaf: a result over slot rows (see :class:`_Probe`)."""
+    """A template leaf: a result over slot rows (see
+    :mod:`repro.events.shapes`)."""
 
     insertions: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
     deletions: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
     staged: tuple[tuple[str, tuple[tuple[tuple[int, ...], int], ...]], ...]
 
 
-#: A shape, or a branch of one, whose evaluation enumerates.
-_UNTEMPLATED = object()
+def _leaf(result: "CountedResult", numbers: dict[Constant, int]) -> _Leaf:
+    """*result* over slot rows, *numbers* giving each constant's slot."""
 
-#: Most shapes templated per program; further shapes stay untemplated, so
-#: clients sending ever new shapes cannot grow the server without limit.
-_MAX_SHAPES = 256
+    def over_slots(row: Row) -> tuple[int, ...]:
+        return tuple(map(numbers.__getitem__, row))
 
-#: Most orders of one connected part's events tried for its least key
-#: (four events of one predicate and kind, say); beyond it the
-#: transaction stays untemplated.
-_MAX_TIE_ORDERS = 24
-
-ShapeKey = tuple[tuple[object, str, tuple[int, ...]], ...]
-
-
-def _shape_order(event: Event) -> tuple[str, bool]:
-    return event.predicate, event.is_insertion
-
-
-def _shape(transaction: Transaction) \
-        -> tuple[ShapeKey, dict[Constant, int]] | None:
-    """The shape key of *transaction* and its constants' slots.
-
-    Events are ordered by predicate and kind, and each constant is
-    replaced by the slot of its first occurrence.  Events tied on
-    predicate and kind would be ordered by the constants' hashes, so a
-    transaction with such ties is keyed by :func:`_parted_shape`
-    instead; either way the key depends on the transaction's structure
-    only, never on which constants it names.  None when a part has more
-    than :data:`_MAX_TIE_ORDERS` orders.
-    """
-    slots: dict[Constant, int] = {}
-    shape = []
-    tied = False
-    previous = None
-    for event in sorted(transaction, key=_shape_order):
-        order = event.predicate, event.kind
-        tied = tied or order == previous
-        previous = order
-        shape.append((event.kind, event.predicate,
-                      tuple(slots.setdefault(arg, len(slots))
-                            for arg in event.args)))
-    if tied:
-        return _parted_shape(shape, slots)
-    return tuple(shape), slots
-
-
-def _parted_shape(shape: list, slots: dict[Constant, int]) \
-        -> tuple[ShapeKey, dict[Constant, int]] | None:
-    """The shape key of a transaction with tied events, from one order's
-    key and slots.
-
-    Events sharing a constant form one connected part.  Each part is
-    keyed on its own, by its least key over the orders of its tied
-    events, and the parts are laid out in the order of their keys.  Parts
-    with equal keys are alike up to renaming, so their order does not
-    matter: two hires of any people, or facts whose constants occur
-    nowhere else, take no search at all.
-    """
-    root = list(range(len(slots)))
-
-    def find(number: int) -> int:
-        while root[number] != number:
-            root[number] = number = root[root[number]]
-        return number
-
-    for _, _, args in shape:
-        for number in args[1:]:
-            root[find(number)] = find(args[0])
-    parts: dict[int, list] = {}
-    for index, entry in enumerate(shape):
-        parts.setdefault(find(entry[2][0]) if entry[2] else -1 - index,
-                         []).append(entry)
-    keyed = []
-    for entries in parts.values():
-        found = _least_part(entries)
-        if found is None:
-            return None
-        keyed.append(found)
-    keyed.sort(key=lambda part: [(predicate, kind.value, pattern)
-                                 for kind, predicate, pattern in part[0]])
-    key, order = [], []
-    for part, numbers in keyed:
-        key.extend((kind, predicate, tuple(len(order) + slot
-                                           for slot in pattern))
-                   for kind, predicate, pattern in part)
-        order.extend(numbers)
-    constants = list(slots)
-    return tuple(key), {constants[number]: slot
-                        for slot, number in enumerate(order)}
-
-
-def _least_part(entries: list) -> tuple[ShapeKey, list[int]] | None:
-    """The least key of one connected part over the orders of its events
-    tied on predicate and kind, with its constants' numbers in slot
-    order; None past :data:`_MAX_TIE_ORDERS` orders."""
-    groups = [entries] if len(entries) == 1 else [
-        list(group) for _, group in groupby(
-            entries, lambda entry: (entry[1], entry[0]))]
-    if len(groups) == len(entries):
-        orderings = [groups]
-    elif prod(map(factorial, map(len, groups))) > _MAX_TIE_ORDERS:
-        return None
-    else:
-        orderings = product(*map(permutations, groups))
-    best = None
-    for orders in orderings:
-        local: dict[int, int] = {}
-        # The orders differ in their patterns only.
-        key = tuple((kind, predicate,
-                     tuple(local.setdefault(number, len(local))
-                           for number in args))
-                    for order in orders for kind, predicate, args in order)
-        if best is None or key < best[0]:
-            best = key, list(local)
-    return best
+    return _Leaf(
+        tuple((predicate, tuple(map(over_slots, rows)))
+              for predicate, rows in result.insertions.items()),
+        tuple((predicate, tuple(map(over_slots, rows)))
+              for predicate, rows in result.deletions.items()),
+        tuple((predicate, tuple((over_slots(row), change)
+                                for row, change in counter.items()))
+              for predicate, (_, counter) in result.staged.items()))
 
 
 class _StateView:
     """Old or new state of base facts and (set-semantics) derived tuples.
 
-    Base predicates resolve through the database's column indexes (plus
-    the transaction's event overlay for the new state); derived
-    predicates resolve through the extension containers handed in --
-    plain sets for the old state, :class:`_AdjustedSet` overlays for the
-    new.  Nothing is copied per call.
+    Base predicates resolve through the database's column indexes and
+    derived ones through the maintained extensions; the new state lays the
+    transaction's events over the former and each settled predicate's
+    ``(gained, lost)`` rows over the latter.  Nothing is copied per call.
+    With *probes* given, every ground read of the state is recorded there
+    as a probe and every scan as an enumeration
+    (:class:`~repro.events.shapes.Probes`).
     """
 
-    __slots__ = ("_db", "_derived", "_events", "builtin")
+    __slots__ = ("_db", "_extensions", "_events", "_changes", "_probes")
 
-    def __init__(self, db: DeductiveDatabase, derived: Mapping[str, object],
-                 events: Mapping[str, set[Row]] | None,
-                 builtin: Callable[[str, Row], bool] = evaluate_builtin):
+    def __init__(self, db: DeductiveDatabase,
+                 extensions: Mapping[str, set[Row]],
+                 events: Mapping[str, set[Row]] | None = None,
+                 changes: Mapping[str, tuple[set[Row], set[Row]]]
+                 | None = None,
+                 probes: Probes | None = None):
         self._db = db
-        self._derived = derived
+        self._extensions = extensions
         self._events = events  # None = old state; events applied = new state
-        #: Evaluates a ground built-in literal (rigid: same in both states).
-        self.builtin = builtin
+        self._changes = changes
+        self._probes = probes
+
+    def _read(self, kind: str, predicate: str, row: Row, held: bool) -> bool:
+        if self._probes is not None:
+            self._probes.setdefault((kind, predicate, row), held)
+        return held
 
     def holds(self, predicate: str, row: Row) -> bool:
-        derived = self._derived.get(predicate)
-        if derived is not None:
-            return row in derived
+        extension = self._extensions.get(predicate)
+        if extension is not None:
+            if self._changes is not None:
+                gained, lost = self._changes[predicate]
+                if row in gained:
+                    return True
+                if row in lost:
+                    return False
+            return self._read("member", predicate, row, row in extension)
         if self._events is not None:
             if row in self._events.get(del_name(predicate), ()):
                 return False
             if row in self._events.get(ins_name(predicate), ()):
                 return True
-        return self._db.has_fact(predicate, *row)
+        return self._read("fact", predicate, row,
+                          self._db.has_fact(predicate, *row))
+
+    def builtin(self, predicate: str, row: Row) -> bool:
+        """A ground built-in literal (rigid: the same in both states)."""
+        return self._read("builtin", predicate, row,
+                          evaluate_builtin(predicate, row))
 
     def lookup(self, predicate: str, pattern: Sequence) -> Iterator[Row]:
-        derived = self._derived.get(predicate)
-        if derived is not None:
-            bound = [(i, t) for i, t in enumerate(pattern)
-                     if isinstance(t, Constant)]
-            for row in derived:
-                if all(row[i] == t for i, t in bound):
+        if self._probes is not None:
+            self._probes.enumerate()
+        bound = [(i, t) for i, t in enumerate(pattern)
+                 if isinstance(t, Constant)]
+        extension = self._extensions.get(predicate)
+        if extension is not None:
+            gained, lost = self._changes[predicate] \
+                if self._changes is not None else ((), ())
+            for row in chain(extension, gained):
+                if row not in lost and all(row[i] == t for i, t in bound):
                     yield row
             return
         if self._events is None:
@@ -472,14 +286,9 @@ class _StateView:
             if row not in del_rows:
                 yield row
         # Normalised transactions only insert absent rows, so no dedup.
-        bound = [(i, t) for i, t in enumerate(pattern)
-                 if isinstance(t, Constant)]
         for row in self._events.get(ins_name(predicate), ()):
             if all(row[i] == t for i, t in bound):
                 yield row
-
-    def rows(self, predicate: str) -> frozenset[Row]:
-        return frozenset(self.lookup(predicate, ()))
 
 
 class CountingEngine:
@@ -514,18 +323,7 @@ class CountingEngine:
         self._body_orders: dict[Rule, tuple[int, ...]] = {}
         self._delta_rules = self._compile_delta_rules()
         self._covered = frozenset(self._order)
-        #: The rules' constants, in a fixed order: slot rows index them
-        #: after the request's own constants.
-        self._rule_constants = tuple(sorted(
-            {term for rule in self._program.source_rules
-             for atom in (rule.head, *(literal.atom for literal in rule.body))
-             for term in atom.constants()},
-            key=lambda constant: (type(constant.value).__name__,
-                                  constant.value)))
-        self._rule_constant_index = {
-            constant: index
-            for index, constant in enumerate(self._rule_constants)}
-        self._templates: dict = self._program.upward_templates
+        self._templates = self._program.upward_templates
         self._negation_boundary = frozenset(
             rule.head.predicate
             for rule in self._program.source_rules
@@ -597,7 +395,7 @@ class CountingEngine:
         return order
 
     def _initialize_counts(self) -> None:
-        old_view = _StateView(self._db, self._extensions, None)
+        old_view = _StateView(self._db, self._extensions)
         for predicate in self._order:
             self._counts[predicate] = counter = self._derive_counts(
                 predicate, old_view)
@@ -660,45 +458,32 @@ class CountingEngine:
         """
         transaction.check_base_only(self._db)
         transaction = transaction.normalized(self._db)
-        shape = _shape(transaction)
-        if shape is None \
-                or not self._rule_constant_index.keys().isdisjoint(shape[1]):
+        walk = self._templates.find(transaction, self._answer)
+        if walk is None:
             return self._evaluate(transaction, None, "untemplated")
-        key, slots = shape
-        node = self._templates.get(key)
-        if node is None and len(self._templates) >= _MAX_SHAPES:
-            return self._evaluate(transaction, None, "untemplated")
-        values = [*slots, *self._rule_constants]
-        parent = outcome = None
-        known = set()
-        while type(node) is _Probe:
-            outcome = self._probe(node.key, values)
-            known.add(node.key)
-            parent = node
-            node = node.children.get(outcome)
-        if node is _UNTEMPLATED:
-            return self._evaluate(transaction, None, "untemplated")
-        if node is not None:
-            return self._replay(node, values, transaction)
-        recorder = _Recorder()
-        result, staged = self._evaluate(transaction, recorder, "delta")
-        if not recorder.rederived:
-            self._record(key, slots, parent, outcome, known, recorder, result)
-        if recorder.rederived or recorder.enumerated_at is not None:
+        if walk.leaf is not None:
+            return self._replay(walk.leaf, walk.values, transaction)
+        probes = Probes()
+        result, staged = self._evaluate(transaction, probes, "delta")
+        if any(kind == _REPLACE for kind, _ in staged.values()):
+            result.path = "untemplated"  # a rederivation is never kept
+            return result, staged
+        walk.record(probes, lambda numbers: _leaf(result, numbers))
+        if probes.enumerated_at is not None:
             result.path = "untemplated"
         return result, staged
 
-    def _probe(self, key: tuple, values: list[Constant]):
-        """One probe of a template, over the request's constants."""
-        kind, predicate, slot_row, change = key
-        row = tuple(map(values.__getitem__, slot_row))
+    def _answer(self, kind, predicate: str, row: Row):
+        """One template probe: a ``fact``, a ``member`` of a maintained
+        extension, a ``builtin``, or -- *kind* being a count's signed
+        change -- the zero-crossing class of that count."""
         if kind == "fact":
             return self._db.has_fact(predicate, *row)
         if kind == "member":
             return row in self._extensions[predicate]
         if kind == "builtin":
             return evaluate_builtin(predicate, row)
-        return _crossing(self._counts[predicate].get(row, 0), change)
+        return _crossing(self._counts[predicate].get(row, 0), kind)
 
     def _replay(self, leaf: _Leaf, values: list[Constant],
                 transaction: Transaction) -> tuple[CountedResult,
@@ -720,66 +505,15 @@ class CountingEngine:
                                path="template")
         return result, staged
 
-    def _record(self, key: tuple, slots: dict[Constant, int],
-                parent: _Probe | None, outcome, known: set,
-                recorder: _Recorder, result: CountedResult) -> None:
-        """Hang the recorded evaluation under the branch that missed: its
-        probes not already on the path, then the leaf -- or, when the
-        evaluation enumerated, the probes before its first enumeration
-        and an untemplated mark, so only that branch is ruled out.  The
-        new branch is built apart and attached by one ``setdefault``, so
-        concurrent recorders never interleave nodes."""
-        width = len(slots)
-        numbers = {constant: width + index for constant, index
-                   in self._rule_constant_index.items()}
-        numbers.update(slots)
-
-        def over_slots(row: Row) -> tuple[int, ...]:
-            return tuple(map(numbers.__getitem__, row))
-
-        # Before the first lookup, every row is built from the
-        # transaction's constants and the rules' own.
-        probes = list(recorder.probes.items())
-        if recorder.enumerated_at is None:
-            branch = _Leaf(
-                tuple((predicate, tuple(map(over_slots, rows)))
-                      for predicate, rows in result.insertions.items()),
-                tuple((predicate, tuple(map(over_slots, rows)))
-                      for predicate, rows in result.deletions.items()),
-                tuple((predicate, tuple((over_slots(row), change)
-                                        for row, change in counter.items()))
-                      for predicate, (_, counter) in result.staged.items()))
-        else:
-            branch = _UNTEMPLATED
-            del probes[recorder.enumerated_at:]
-        probes = [((kind, predicate, over_slots(row), change), held)
-                  for (kind, predicate, row, change), held in probes]
-        for probe_key, held in reversed(probes):
-            if probe_key not in known:
-                branch = _Probe(probe_key, {held: branch})
-        if parent is None:
-            # Recorders side by side may overshoot the bound by their
-            # number, never more.
-            if len(self._templates) < _MAX_SHAPES:
-                self._templates.setdefault(key, branch)
-        else:
-            parent.children.setdefault(outcome, branch)
-
-    def _evaluate(self, transaction: Transaction, recorder: _Recorder | None,
+    def _evaluate(self, transaction: Transaction, probes: Probes | None,
                   path: str) -> tuple[CountedResult, StagedCounts]:
-        """Run the triggered delta rules stratum by stratum, reading the
-        state through *recorder* when one is given."""
+        """Run the triggered delta rules stratum by stratum, recording
+        every probe into *probes* when given."""
         events = _event_rows(transaction)
-        db, extensions, builtin = self._db, self._extensions, evaluate_builtin
-        if recorder is not None:
-            db = _RecordedFacts(db, recorder)
-            extensions = {predicate: _RecordedExtent(predicate, rows,
-                                                     recorder)
-                          for predicate, rows in extensions.items()}
-            builtin = recorder.builtin
-        old_view = _StateView(db, extensions, None, builtin)
-        new_derived: dict[str, _AdjustedSet] = {}
-        new_view = _StateView(db, new_derived, events, builtin)
+        changes: dict[str, tuple[set[Row], set[Row]]] = {}
+        old_view = _StateView(self._db, self._extensions, probes=probes)
+        new_view = _StateView(self._db, self._extensions, events, changes,
+                              probes)
         insertions: dict[str, frozenset[Row]] = {}
         deletions: dict[str, frozenset[Row]] = {}
         staged: StagedCounts = {}
@@ -809,13 +543,10 @@ class CountingEngine:
                             f"{predicate}{row}: {counter.get(row, 0)} + "
                             f"{change}"
                         )
-                    if recorder is not None:
-                        recorder.rederived = True
                     replacement = self._rederive(predicate, new_view)
                     break
-                if recorder is not None:
-                    recorder.probe(("count", predicate, row, change),
-                                   crossing)
+                if probes is not None:
+                    probes.setdefault((change, predicate, row), crossing)
                 if crossing is _GAINED:
                     gained.add(row)
                 elif crossing is _LOST:
@@ -834,8 +565,7 @@ class CountingEngine:
             if lost:
                 deletions[predicate] = frozenset(lost)
                 events[del_name(predicate)] = lost
-            new_derived[predicate] = _AdjustedSet(
-                extensions[predicate], gained, lost)
+            changes[predicate] = gained, lost
 
         result = CountedResult(insertions, deletions, transaction,
                                covered=self._covered, staged=staged,

@@ -31,15 +31,12 @@ The interpreter is goal-directed:
   bindings, so it unfolds the rule as written under an empty substitution.
 
 Only the ground probes (old state, built-ins) depend on the state or the
-constants, so an unfold is kept as the *template* of its request shape
-(each constant replaced by the slot of its first occurrence): a trie over
-the outcomes of the distinct probes it ran, whose leaf is the result DNF
-over the slots.  A request of that shape runs each probe once, fills the
-slots and extracts translations as usual; an unseen outcome unfolds once
-more and adds the branch.  The trie lives on the :class:`TransitionProgram`
-and so survives every change of the facts.  Shapes whose unfold enumerates
-(a lookup, a domain instantiation), and requests naming a rule's
-constant, always unfold.
+constants, so an unfold is kept as the *template* of its request shape in
+the program's :class:`~repro.events.shapes.Shapes` store (see
+:mod:`repro.events.shapes`), whose leaf is the result DNF over the slots.
+A templated request is unfolded in its shape's order, so every request of
+one shape reads the rules alike.  Requests with variables are never
+templated.
 
 Top-level *requests* use goal semantics (footnote 1 of the paper): a
 requested change that already holds is trivially satisfied and a
@@ -51,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from repro.datalog.builtins import evaluate_builtin, is_builtin
@@ -78,6 +76,7 @@ from repro.events.naming import (
     new_name,
     parse_prefixed,
 )
+from repro.events.shapes import Probes, Shapes
 from repro.obs import tracer as obs
 
 Row = tuple[Constant, ...]
@@ -344,18 +343,11 @@ class EvaluatedOldState:
 
 
 class _Template(NamedTuple):
-    """A trie leaf (inner nodes are ``(predicate, row)`` probes)."""
+    """A trie leaf: the result DNF over slot variables, and the requests
+    it found already satisfied."""
 
     dnf: Dnf
     satisfied: tuple[Literal, ...]
-
-
-_UNTEMPLATED = object()  # a shape whose unfold enumerates
-
-#: Most request shapes templated per option set; further shapes are
-#: unfolded unrecorded, so clients sending ever new shapes cannot grow the
-#: server without limit.
-_MAX_SHAPES = 256
 
 
 # -- the interpreter --------------------------------------------------------------
@@ -383,11 +375,11 @@ class DownwardInterpreter:
             old_state = EvaluatedOldState(BottomUpEvaluator(
                 db, self._program.source_rules, engine=self._options.engine))
         self._old = old_state
-        self._templates: dict = self._program.downward_templates.setdefault(
+        self._templates = self._program.downward_templates.setdefault(
             (self._options.max_depth, self._options.on_depth_limit,
-             self._options.max_disjuncts), {})
-        #: Distinct probes -> outcomes of the unfold being recorded, if any.
-        self._probed: dict | None = None
+             self._options.max_disjuncts), Shapes(self._program.constants))
+        #: The probes of the unfold being recorded, if any.
+        self._probed: Probes | None = None
         self._domain: frozenset[Constant] | None = None
         self._request_constants: frozenset[Constant] = frozenset()
         #: ``domain()`` sorted for instantiation, once per ``interpret``.
@@ -482,51 +474,44 @@ class DownwardInterpreter:
         )
 
     def _templated(self, literals: list[Literal]) -> tuple[Dnf, list[Literal]]:
-        """The result from the shape's template, recording on a miss.  A
-        shape's trie is one dict from the outcomes so far to the next
-        probe or the leaf."""
-        slots: dict[Constant, Variable] = {}
-        for literal in literals:
-            for term in literal.args:
-                if isinstance(term, Constant) and term not in slots:
-                    slots[term] = Variable(f"%{len(slots)}")
-        shape = tuple(rename_terms(literal, slots) for literal in literals)
-        trie = self._templates.get(shape)
-        if trie is None and len(self._templates) < _MAX_SHAPES:
-            trie = self._templates.setdefault(shape, {})
-        if trie is None or trie is _UNTEMPLATED \
-                or not self._request_constants.isdisjoint(self._program.constants):
+        """The result from the shape's template, recording on a miss."""
+        walk = None
+        if all(literal.is_ground() for literal in literals):
+            walk = self._templates.find(literals, self._holds,
+                                        attrgetter("positive"))
+        if walk is None:
             self.stats.untemplated = 1
             return self._unfold(literals)
-        values = {slot: constant for constant, slot in slots.items()}
-        outcomes = ()
-        node = trie.get(outcomes)
-        while type(node) is tuple:  # a probe (a leaf is a tuple subclass)
-            predicate, row = node
-            outcomes += (self._holds(predicate,
-                                     tuple(values.get(t, t) for t in row)),)
-            node = trie.get(outcomes)
-        if node is not None:
-            self.stats = DownwardStats(old_queries=len(outcomes), templated=1)
-            return node.dnf.renamed(values), \
-                [rename_terms(literal, values) for literal in node.satisfied]
-        self._probed = {}
+        values = walk.values
+        if walk.leaf is not None:
+            self.stats = DownwardStats(old_queries=len(walk.known),
+                                       templated=1)
+            back = {Variable(f"%{number}"): value
+                    for number, value in enumerate(values)}
+            held = {rename_terms(literal, back)
+                    for literal in walk.leaf.satisfied}
+            return walk.leaf.dnf.renamed(back), \
+                [literal for literal in literals if literal in held]
+        self._probed = Probes()
         try:
-            combined, satisfied = self._unfold(literals)
+            combined, satisfied = self._unfold([
+                Literal(Atom(predicate, tuple(map(values.__getitem__, row))),
+                        positive) for positive, predicate, row in walk.key])
         finally:
-            probed, self._probed = self._probed, None
-        if probed is None:
-            self._templates[shape] = _UNTEMPLATED
+            probes, self._probed = self._probed, None
+
+        def template(numbers: dict[Constant, int]) -> _Template:
+            slots = {constant: Variable(f"%{number}")
+                     for constant, number in numbers.items()}
+            return _Template(combined.renamed(slots),
+                             tuple(rename_terms(literal, slots)
+                                   for literal in satisfied))
+
+        walk.record(probes, template)
+        if probes.enumerated_at is not None:
             self.stats.untemplated = 1
-            return combined, satisfied
-        outcomes = ()
-        for (predicate, row), held in probed.items():
-            trie[outcomes] = (predicate, tuple(slots.get(t, t) for t in row))
-            outcomes += (held,)
-        trie[outcomes] = _Template(
-            combined.renamed(slots),
-            tuple(rename_terms(literal, slots) for literal in satisfied))
-        return combined, satisfied
+        held = set(satisfied)
+        return combined, [literal for literal in literals if literal in held]
 
     def _unfold(self, literals: list[Literal]) -> tuple[Dnf, list[Literal]]:
         """Section 4.2's reading of the rules, request by request."""
@@ -541,7 +526,7 @@ class DownwardInterpreter:
                 if obs.enabled():
                     self.stats.delta_since(before).record_to(request_span)
                     request_span.add("disjuncts", len(piece))
-            combined = combined.and_(piece)
+            combined = self._and(combined, piece)
             if combined.is_false:
                 break
         return combined.simplified(), satisfied
@@ -565,7 +550,8 @@ class DownwardInterpreter:
         combined = TRUE_DNF
         for bindings in self._instantiations(literal, {}):
             ground = substitute_literal(literal, bindings)
-            combined = combined.and_(self._down_conjunct([ground], {}, 0))
+            combined = self._and(combined,
+                                 self._down_conjunct([ground], {}, 0))
             if combined.is_false:
                 break
         return combined
@@ -594,6 +580,11 @@ class DownwardInterpreter:
             probed[predicate, row] = held
         return held
 
+    def _enumerate(self) -> None:
+        """Mark the unfold being recorded, if any, as enumerating."""
+        if self._probed is not None:
+            self._probed.enumerate()
+
     # -- conjunct processing ------------------------------------------------------------
 
     def _down_conjunct(self, pending: list[Literal], subst: Substitution,
@@ -616,15 +607,20 @@ class DownwardInterpreter:
             if piece.is_false:
                 continue
             tail = self._down_conjunct(rest, bindings, depth)
-            total = total.or_(piece.and_(tail))
+            total = total.or_(self._and(piece, tail))
             self._guard(total)
         return total.simplified()
+
+    def _and(self, left: Dnf, right: Dnf) -> Dnf:
+        """Conjunction bounded by ``max_disjuncts`` (see :meth:`Dnf.and_`)."""
+        return left.and_(right, self._options.max_disjuncts)
 
     def _negate(self, dnf: Dnf) -> Dnf:
         """Bounded DNF negation (Section 4.2's logical-negation step)."""
         return dnf.negated(max_size=self._options.max_disjuncts)
 
     def _guard(self, dnf: Dnf) -> None:
+        """Bound a disjunction (a conjunction bounds itself)."""
         if len(dnf) > self._options.max_disjuncts:
             from repro.datalog.errors import ComplexityLimitExceeded
 
@@ -710,7 +706,7 @@ class DownwardInterpreter:
                 return
             source = self._old if self._program.is_derived(literal.predicate) \
                 else self._db
-            self._probed = None  # an enumerating shape is never templated
+            self._enumerate()
             for row in source.lookup(literal.predicate, pattern):
                 bindings = self._bind_row(pattern, row, subst)
                 if bindings is not None:
@@ -744,7 +740,7 @@ class DownwardInterpreter:
                     yield dict(subst), Dnf.of_literal(ground)
                 return
             self.stats.enumerations += 1
-            self._probed = None
+            self._enumerate()
             if kind is EventKind.DELETION:
                 # δQ requires Qo: instantiate over the stored rows.
                 pattern = tuple(resolve(t, subst) for t in literal.args)
@@ -774,7 +770,8 @@ class DownwardInterpreter:
         for bindings in self._instantiations(literal, subst):
             row = tuple(resolve(t, bindings) for t in literal.args)
             if self._event_possible(kind, predicate, row):
-                combined = combined.and_(
+                combined = self._and(
+                    combined,
                     Dnf.of_literal(substitute_literal(literal, bindings)))
         yield dict(subst), combined
 
@@ -807,8 +804,7 @@ class DownwardInterpreter:
         for bindings in self._instantiations(literal, subst) if unbound \
                 else [dict(subst)]:
             positive = self._descend_event(kind, predicate, literal, bindings, depth)
-            combined = combined.and_(self._negate(positive))
-            self._guard(combined)
+            combined = self._and(combined, self._negate(positive))
             if combined.is_false:
                 break
         yield dict(subst), combined
@@ -846,8 +842,7 @@ class DownwardInterpreter:
         for bindings in self._instantiations(literal, subst) if unbound \
                 else [dict(subst)]:
             positive = self._descend_new(predicate, literal, bindings, depth)
-            combined = combined.and_(self._negate(positive))
-            self._guard(combined)
+            combined = self._and(combined, self._negate(positive))
             if combined.is_false:
                 break
         yield dict(subst), combined
@@ -936,7 +931,7 @@ class DownwardInterpreter:
         if not variables:
             yield dict(subst)
             return
-        self._probed = None
+        self._enumerate()
         if self._ordered_domain is None:
             self._ordered_domain = sorted(self.domain(), key=str)
         domain = self._ordered_domain

@@ -575,7 +575,7 @@ class TestUpwardTemplates:
     def test_shapes_stop_at_the_bound(self):
         from itertools import combinations
 
-        from repro.interpretations.counting import _MAX_SHAPES
+        from repro.events.shapes import _MAX_SHAPES
 
         names = [f"B{i}" for i in range(9)]
         db = DeductiveDatabase.from_source(
@@ -650,7 +650,7 @@ class TestShapeKey:
     def test_every_renaming_has_one_key(self, transaction):
         from itertools import permutations
 
-        from repro.interpretations.counting import _shape
+        from repro.events.shapes import _shape
 
         shape = _shape(transaction)
         event(f"templated={shape is not None}")
@@ -668,7 +668,7 @@ class TestShapeKey:
             assert _shape(renamed)[0] == key
 
     def test_alike_parts_take_no_search(self):
-        from repro.interpretations.counting import _shape
+        from repro.events.shapes import _shape
 
         def hires(names):
             return Transaction(event for name in names for event in (

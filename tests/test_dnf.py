@@ -1,7 +1,5 @@
 """Unit tests for the DNF algebra."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -111,12 +109,12 @@ class TestSimplified:
         d = Dnf.of_disjuncts([[IA, DR], [IA]])
         assert d.simplified() == Dnf.of_literal(IA)
 
-    def test_subsumption_skipped_above_limit(self):
-        disjuncts = [[lit("ins$Q", True, f"C{i}")] for i in range(10)]
+    def test_subsumption_runs_at_every_size(self):
+        disjuncts = [[lit("ins$Q", True, f"C{i}")] for i in range(700)]
         disjuncts.append([lit("ins$Q", True, "C0"), DR])  # subsumed
-        d = Dnf.of_disjuncts(disjuncts)
-        assert len(d.simplified(subsume=False)) == 11
-        assert len(d.simplified(subsume=True)) == 10
+        d = Dnf.of_disjuncts(disjuncts).simplified()
+        assert len(d) == 700
+        assert_minimal(d)
 
 
 class TestSubstitutionAndInspection:
@@ -153,6 +151,8 @@ LITERALS = st.builds(
     st.sampled_from(["ins$Q", "del$Q", "Q"]), st.booleans(),
     st.sampled_from(["A", "B"]))
 RAW = st.frozensets(st.frozensets(LITERALS, max_size=3), max_size=4)
+WIDE = st.frozensets(st.frozensets(LITERALS, max_size=3), min_size=3,
+                     max_size=4)
 #: Hand-built formulas (never marked minimal) and algebra-built ones.
 FORMULAS = st.one_of(
     RAW.map(Dnf),
@@ -174,10 +174,8 @@ def reference_contradictory(conjunct):
     return False
 
 
-def reference_clean(conjuncts, limit=Dnf.SUBSUMPTION_LIMIT):
+def reference_clean(conjuncts):
     viable = {c for c in conjuncts if not reference_contradictory(c)}
-    if len(viable) > limit:
-        return frozenset(viable)
     return frozenset(c for c in viable if not any(o < c for o in viable))
 
 
@@ -237,29 +235,38 @@ class TestAlgebraAgainstReference:
         assert hash(Dnf(cleaned.disjuncts)) == hash(cleaned)
         assert Dnf(cleaned.disjuncts) == cleaned
 
-    @settings(max_examples=200, deadline=None)
-    @given(FORMULAS, FORMULAS)
-    def test_above_the_subsumption_limit(self, left, right):
-        # With a limit of two conjuncts most results skip subsumption: the
-        # algebra then keeps subsumed conjuncts (never contradictory ones)
-        # and does not mark the result minimal.
-        with mock.patch.object(Dnf, "SUBSUMPTION_LIMIT", 2):
-            cases = (
-                (left.and_(right),
-                 reference_product(left.disjuncts, right.disjuncts)),
-                (left.or_(right), left.disjuncts | right.disjuncts),
-                (left.simplified(), left.disjuncts),
-            )
-            for result, built in cases:
-                viable = {c for c in built if not reference_contradictory(c)}
-                assert result.disjuncts == reference_clean(built, limit=2)
-                # Marked minimal only when it really is; always marked when
-                # the pass ran.  (An input built under the default limit is
-                # minimal whatever its size, and may come back as it is.)
-                if result.minimal:
-                    assert result.disjuncts == reference_clean(
-                        result.disjuncts)
-                assert result.minimal or len(viable) > 2
+    @settings(max_examples=10, deadline=None)
+    @given(WIDE, WIDE)
+    def test_over_six_hundred_conjuncts(self, left, right):
+        # The left formula is spread over 70 fresh constants, so every
+        # product runs past 600 conjuncts before cleaning.
+        left = Dnf(frozenset(conjunct | {lit("del$R", True, f"C{i}")}
+                             for conjunct in left for i in range(70)))
+        right = Dnf(right)
+        assert len(left) * len(right) > 600
+        product = left.and_(right)
+        assert product.disjuncts == reference_clean(
+            reference_product(left.disjuncts, right.disjuncts))
+        assert_minimal(product)
+        union = product.or_(left)
+        assert union.disjuncts == reference_clean(
+            product.disjuncts | left.disjuncts)
+        assert_minimal(union)
+
+    def test_bounded_conjunction_raises_before_subsumption(self, monkeypatch):
+        from repro.events import dnf as dnf_module
+
+        left = Dnf.of_disjuncts([[lit("ins$Q", True, f"C{i}")]
+                                 for i in range(10)])
+        right = Dnf.of_disjuncts([[lit("del$R", True, f"C{i}")]
+                                  for i in range(10)])
+        assert len(left.and_(right, max_size=100)) == 100
+        passes = []
+        monkeypatch.setattr(dnf_module, "_without_subsumed",
+                            lambda conjuncts: passes.append(conjuncts))
+        with pytest.raises(ComplexityLimitExceeded):
+            left.and_(right, max_size=99)
+        assert passes == []
 
 
 class TestMinimality:
@@ -287,15 +294,11 @@ class TestMinimality:
         assert dirty.and_(TRUE_DNF) == Dnf.of_literal(DR)
         assert TRUE_DNF.and_(dirty) == Dnf.of_literal(DR)
 
-    def test_limit_skip_keeps_result_unmarked(self):
-        disjuncts = [[lit("ins$Q", True, f"C{i}")] for i in range(10)]
+    def test_large_hand_built_formula_is_cleaned_in_full(self):
+        disjuncts = [[lit("ins$Q", True, f"C{i}")] for i in range(700)]
         disjuncts.append([lit("ins$Q", True, "C0"), DR])   # subsumed
         disjuncts.append([IA, NIA])                        # contradictory
-        with mock.patch.object(Dnf, "SUBSUMPTION_LIMIT", 5):
-            skipped = Dnf.of_disjuncts(disjuncts).simplified()
-            assert len(skipped) == 11 and not skipped.minimal
-            # An unmarked result is simplified again, not returned as is.
-            assert len(skipped.simplified(subsume=True)) == 10
-            assert skipped.simplified(subsume=True).minimal
-            widened = skipped.or_(Dnf.of_literal(IB))
-            assert len(widened) == 12 and not widened.minimal
+        dirty = Dnf.of_disjuncts(disjuncts)
+        widened = dirty.or_(Dnf.of_literal(IB))
+        assert len(widened) == 701
+        assert_minimal(widened)

@@ -1,5 +1,7 @@
 """Unit tests for the downward interpretation."""
 
+from functools import partial
+
 import pytest
 
 from repro.datalog import DeductiveDatabase
@@ -757,7 +759,7 @@ class TestDownwardTemplates:
     def test_shapes_stop_at_the_bound(self):
         from itertools import combinations
 
-        from repro.interpretations.downward import _MAX_SHAPES
+        from repro.events.shapes import _MAX_SHAPES
 
         names = [f"B{i}" for i in range(9)]
         interpreter = DownwardInterpreter(DeductiveDatabase.from_source(
@@ -774,6 +776,52 @@ class TestDownwardTemplates:
         result = interpreter.interpret(want_insert("P0", "New"))
         assert result.stats.path == "template"
         assert result.transactions() == (Transaction([insert("B0", "New")]),)
+
+    def test_tied_requests_share_one_key_whatever_the_constants(self):
+        from repro.workloads import employment_database
+
+        db = employment_database(30, seed=4)
+        e = sorted(row[0] for row in db.query("Works(x)"))
+        u = sorted(row[0] for row in db.query("Unemp(x)"))
+        hire, fire = partial(want_insert, "Unemp"), \
+            partial(want_delete, "Unemp")
+        interpreter = DownwardInterpreter(db)
+        paths = []
+        # One shape: two hires tied on predicate and kind, one firing; in
+        # two orders, then renamed in two more.  Then two requests whose
+        # first literal already holds, in the request's order.
+        for request in [[hire(e[0]), hire(e[1]), fire(u[0])],
+                        [fire(u[0]), hire(e[1]), hire(e[0])],
+                        [hire(e[2]), fire(u[1]), hire(e[3])],
+                        [fire(u[2]), hire(e[5]), hire(e[4])],
+                        [hire(u[3]), hire(e[6]), fire(u[4])],
+                        [hire(u[5]), fire(u[6]), hire(e[7])]]:
+            served = interpreter.interpret(request)
+            cold = DownwardInterpreter(db).interpret(request)
+            assert served.to_dict() == cold.to_dict()
+            assert served.already_satisfied == cold.already_satisfied
+            paths.append(served.stats.path)
+        assert served.already_satisfied == (hire(u[5]),)
+        assert len(interpreter._templates) == 1
+        assert paths == ["unfold"] + ["template"] * 3 + ["unfold", "template"]
+
+    def test_an_enumerating_branch_leaves_the_others_templated(self):
+        # Unfolding ins P(x) looks R(x, y) up with y unbound, unless P(x)
+        # already holds.
+        db = _database("""
+            Q(A). Q(B). R(A, C). R(B, D).
+            P(x) <- Q(x) & R(x, y).
+        """)
+        interpreter = DownwardInterpreter(db, options=self.OPTIONS)
+        paths = []
+        for name in ("E", "A", "F", "B", "G"):
+            request = [want_insert("P", name)]
+            served = interpreter.interpret(request)
+            assert served.to_dict() == DownwardInterpreter(
+                db, options=self.OPTIONS).interpret(request).to_dict()
+            paths.append(served.stats.path)
+        assert paths == ["untemplated", "unfold", "untemplated", "template",
+                         "untemplated"]
 
     def test_options_do_not_share_templates(self, employment_db):
         shallow = DownwardOptions(max_depth=1, on_depth_limit="prune")

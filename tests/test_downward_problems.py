@@ -6,6 +6,7 @@ from repro.datalog import DeductiveDatabase
 from repro.datalog.terms import Constant
 from repro.events.events import Transaction, delete, insert
 from repro.events.naming import EventKind
+from repro.interpretations.upward import UpwardInterpreter
 from repro.problems import (
     StateError,
     can_reach_inconsistency,
@@ -231,5 +232,8 @@ class TestConditionActivation:
         result = prevent_condition_activation(
             employment_db, Transaction([insert("La", "Jordi")]), "Unemp")
         assert result.is_satisfiable
+        upward = UpwardInterpreter(employment_db)
         for translation in result.translations:
             assert insert("Works", "Jordi") in translation.transaction
+            induced = upward.interpret(translation.transaction)
+            assert not induced.insertions_of("Unemp")

@@ -324,7 +324,7 @@ class TestDnfAlgebra:
     @given(a=_dnfs)
     @settings(max_examples=100, deadline=None)
     def test_simplified_preserves_semantics(self, a):
-        simplified = a.simplified(subsume=True)
+        simplified = a.simplified()
         for assignment in _truth_assignments(_LITERAL_POOL):
             assert _eval_dnf(simplified, assignment) == _eval_dnf(a, assignment)
 
